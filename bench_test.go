@@ -792,12 +792,22 @@ func BenchmarkVMThroughput(b *testing.B) {
 
 // benchVMThroughput drives the VM directly (Load once, Reset per run) so
 // the number measures the execution engine alone, without the campaign
-// pooling and classification around RunClean.
-func benchVMThroughput(b *testing.B, interpOnly bool) {
+// pooling and classification around RunClean. With hooked set, every run
+// also arms an IABR with a no-op hook at the §5 C.team1 trigger address,
+// which sits in the program's hottest loop.
+func benchVMThroughput(b *testing.B, interpOnly, hooked bool) {
 	p, _ := programs.ByName("C.team1")
 	c, err := p.Compile()
 	if err != nil {
 		b.Fatal(err)
+	}
+	var trigger uint32
+	if hooked {
+		em, err := campaign.BuildEmulation(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trigger = em.Fault.TriggerAddrs()[0]
 	}
 	cases, err := workload.Generate(p.Kind, 1, 7)
 	if err != nil {
@@ -817,6 +827,12 @@ func benchVMThroughput(b *testing.B, interpOnly bool) {
 		m.SetMaxCycles(vm.DefaultMaxCycles)
 		m.SetInput(cases[0].Input.Ints)
 		m.SetByteInput(cases[0].Input.Bytes)
+		if hooked {
+			m.SetIABRHook(func(*vm.Machine, uint32) {})
+			if err := m.SetIABR(0, trigger); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -828,10 +844,15 @@ func benchVMThroughput(b *testing.B, interpOnly bool) {
 // BenchmarkVMThroughputCompiled is the block-compiled engine (the default
 // everywhere); BenchmarkVMThroughputInterp is the same run under
 // -interp-only. Their ratio is the speed-up of block compilation on
-// identical work.
-func BenchmarkVMThroughputCompiled(b *testing.B) { benchVMThroughput(b, false) }
+// identical work. BenchmarkVMThroughputBreakpoint is the compiled run with a
+// hooked breakpoint at the §5 trigger: the block engine cuts its blocks
+// there and steps only the trigger instruction, so it must stay well ahead
+// of the interpreter.
+func BenchmarkVMThroughputCompiled(b *testing.B) { benchVMThroughput(b, false, false) }
 
-func BenchmarkVMThroughputInterp(b *testing.B) { benchVMThroughput(b, true) }
+func BenchmarkVMThroughputInterp(b *testing.B) { benchVMThroughput(b, true, false) }
+
+func BenchmarkVMThroughputBreakpoint(b *testing.B) { benchVMThroughput(b, false, true) }
 
 // BenchmarkBlockCompile measures the one-time cost of decoding a program's
 // text into basic blocks and superinstructions — the price paid per Load

@@ -11,6 +11,13 @@
 //     fault needing more than two distinct trigger addresses (the Figure 4
 //     stack-shift emulation) cannot be armed: Arm returns
 //     ErrOutOfBreakpoints, reproducing the limitation the paper reports.
+//     As on Xception, the target runs at full speed and only the trigger
+//     instruction traps: every location corruption is driven from the
+//     breakpoint hit. A fetch corruption plants the corrupted word into the
+//     decoded cache for the executions it applies to (vm.PlantDecoded), and
+//     a store or load corruption installs a bus hook that removes itself on
+//     its first call. No hook is consulted on the other instructions, so the
+//     VM keeps them on its block engine.
 //   - ModeTrap plants trap instructions over the trigger locations — "the
 //     traditional SWIFI approach of inserting trap instructions ... but this
 //     technique is very intrusive". It has no budget limit; the displaced
@@ -65,11 +72,32 @@ type Session struct {
 	loadShift  map[uint32]int32
 	regOps     map[uint32][]fault.Corruption
 
+	// Hardware mode: what a breakpoint hit applies, per trigger address, and
+	// the self-removing bus hooks a hit installs. The hooks are built once
+	// per Arm so a hot trigger does not allocate per hit.
+	sites     []*bpSite
+	loadOnce  vm.LoadHook
+	storeOnce vm.StoreHook
+
 	// Trap mode: displaced original words.
 	origWords map[uint32]uint32
 	// seen counts executions of each trigger address, implementing the
 	// When axis (Trigger.Skip / Trigger.Once).
 	seen map[uint32]uint64
+}
+
+// bpSite is everything a hardware-mode breakpoint hit at one trigger address
+// applies. fetch is the corrupted word of a fetch corruption (hasFetch) and
+// planted records whether the decoded cache currently holds it; hasLoad and
+// hasStore select the bus hooks the hit installs.
+type bpSite struct {
+	addr     uint32
+	regOps   []fault.Corruption
+	fetch    uint32
+	hasFetch bool
+	planted  bool
+	hasLoad  bool
+	hasStore bool
 }
 
 // Arm validates the fault and installs its triggers on m. The machine must
@@ -135,29 +163,30 @@ func Arm(m *vm.Machine, mode Mode, f *fault.Fault) (*Session, error) {
 			if err := m.SetIABR(i, a); err != nil {
 				return nil, err
 			}
+			site := &bpSite{addr: a, regOps: s.regOps[a]}
+			site.fetch, site.hasFetch = s.fetchRepl[a]
+			_, site.hasLoad = s.loadShift[a]
+			_, site.hasStore = s.storeOps[a]
+			s.sites = append(s.sites, site)
 		}
-		if len(s.textWrites) > 0 || len(s.regOps) > 0 {
-			m.SetIABRHook(s.onBreakpoint)
-		}
-		// The fetch hook runs on every instruction; install the cheapest
-		// variant that covers the fault.
-		switch len(s.fetchRepl) {
-		case 0:
-		case 1:
-			var a1, w1 uint32
-			for a, w := range s.fetchRepl {
-				a1, w1 = a, w
+		// The breakpoint fires right before the instruction executes, so a
+		// bus hook's first call is either that instruction's own access or,
+		// if it makes none, a later instruction's, which the PC check in
+		// onLoad/onStore passes through untouched. Either way the hook is
+		// spent.
+		if len(s.loadShift) > 0 {
+			s.loadOnce = func(addr, value uint32) uint32 {
+				m.SetLoadHook(nil)
+				return s.onLoad(addr, value)
 			}
-			m.SetFetchHook(func(addr, word uint32) uint32 {
-				if addr != a1 || !s.shouldApply(a1) {
-					return word
-				}
-				s.activations++
-				return w1
-			})
-		default:
-			m.SetFetchHook(s.onFetch)
 		}
+		if len(s.storeOps) > 0 {
+			s.storeOnce = func(addr, value uint32) uint32 {
+				m.SetStoreHook(nil)
+				return s.onStore(addr, value)
+			}
+		}
+		m.SetIABRHook(s.onBreakpoint)
 	case ModeTrap:
 		for _, a := range addrs {
 			w, err := m.ReadWord(a)
@@ -170,14 +199,16 @@ func Arm(m *vm.Machine, mode Mode, f *fault.Fault) (*Session, error) {
 			}
 		}
 		m.SetTrapHook(s.onTrap)
+		// The displaced instructions run inside onTrap, so the bus hooks
+		// are global and key on the PC (still the trap address).
+		if len(s.loadShift) > 0 {
+			m.SetLoadHook(s.onLoad)
+		}
+		if len(s.storeOps) > 0 {
+			m.SetStoreHook(s.onStore)
+		}
 	default:
 		return nil, fmt.Errorf("injector: unknown mode %d", mode)
-	}
-	if len(s.loadShift) > 0 {
-		m.SetLoadHook(s.onLoad)
-	}
-	if len(s.storeOps) > 0 {
-		m.SetStoreHook(s.onStore)
 	}
 	return s, nil
 }
@@ -216,35 +247,60 @@ func (s *Session) shouldApply(addr uint32) bool {
 	return true
 }
 
-// onBreakpoint handles IABR hits (hardware mode): permanent text rewrites
-// and register corruptions happen here, before the instruction executes.
+// onBreakpoint handles IABR hits (hardware mode), before the instruction
+// executes. The execution counter advances once per corruption group, in the
+// order the groups act on the instruction: text rewrite and registers, then
+// the fetched word, then (from the bus hook) the data access. An address
+// carrying two groups therefore counts twice per execution, which keeps the
+// Skip/Once semantics of the When axis identical for every fault shape.
 func (s *Session) onBreakpoint(m *vm.Machine, addr uint32) {
-	_, isWrite := s.textWrites[addr]
-	if !isWrite && len(s.regOps[addr]) == 0 {
-		return
-	}
-	if !s.shouldApply(addr) {
-		return
-	}
-	if w, ok := s.textWrites[addr]; ok {
-		if err := s.writeText(addr, w); err == nil {
-			s.activations++
-			delete(s.textWrites, addr) // memory now holds the corruption
+	var site *bpSite
+	for _, st := range s.sites {
+		if st.addr == addr {
+			site = st
+			break
 		}
 	}
-	for _, c := range s.regOps[addr] {
-		m.SetReg(c.Reg, c.Op.Apply(m.Reg(c.Reg), c.Operand))
-		s.activations++
+	if site == nil {
+		return
 	}
-}
-
-// onFetch implements transient instruction-bus corruption (hardware mode).
-func (s *Session) onFetch(addr, word uint32) uint32 {
-	if w, ok := s.fetchRepl[addr]; ok && s.shouldApply(addr) {
-		s.activations++
-		return w
+	if _, isWrite := s.textWrites[addr]; (isWrite || len(site.regOps) > 0) && s.shouldApply(addr) {
+		if w, ok := s.textWrites[addr]; ok {
+			if err := s.writeText(addr, w); err == nil {
+				s.activations++
+				delete(s.textWrites, addr) // memory now holds the corruption
+				site.planted = false       // and WriteWord re-decoded the entry
+			}
+		}
+		for _, c := range site.regOps {
+			m.SetReg(c.Reg, c.Op.Apply(m.Reg(c.Reg), c.Operand))
+			s.activations++
+		}
 	}
-	return word
+	if site.hasFetch {
+		// The corrupted word is planted for the executions the corruption
+		// applies to and the memory word for the others; either plant stays
+		// until the next decision flips it. The errors are dropped because
+		// they only report an address outside text, and a breakpoint only
+		// fires on a text address.
+		if s.shouldApply(addr) {
+			s.activations++
+			if !site.planted {
+				_ = m.PlantDecoded(addr, site.fetch)
+				site.planted = true
+			}
+		} else if site.planted {
+			w, _ := m.ReadWord(addr)
+			_ = m.PlantDecoded(addr, w)
+			site.planted = false
+		}
+	}
+	if site.hasLoad {
+		m.SetLoadHook(s.loadOnce)
+	}
+	if site.hasStore {
+		m.SetStoreHook(s.storeOnce)
+	}
 }
 
 // onLoad shifts the effective address of corrupted loads. The corruption is

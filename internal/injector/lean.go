@@ -6,34 +6,37 @@ import (
 )
 
 // Lean arming is the campaign executor's fast path. The generic Arm builds
-// map-backed dispatch tables and, for instruction-bus corruptions, installs
-// a fetch hook the machine consults on every cycle; for the §6 fault shapes
-// — a single-location corruption triggered on every execution — that
-// per-cycle overhead dominates the run. ArmLean recognises those shapes and
-// arms them with zero or near-zero steady-state cost:
+// map-backed dispatch tables and, in hardware mode, hooks the breakpoint
+// registers: each execution of a trigger address leaves the block engine
+// for one interpreted step, counts the execution and applies the
+// corruptions it selects. For the §6 fault shapes — a single-location
+// corruption triggered on every execution — even that per-hit cost is
+// avoidable. ArmLean recognises those shapes and arms them with zero or
+// near-zero steady-state cost:
 //
 //   - Every-execution fetch corruptions are planted directly into the
-//     decoded-instruction cache (vm.PlantDecoded): the corrupted word
-//     executes at the address at full speed, memory stays pristine, and an
-//     undecodable word raises ExcIllegal at the address, exactly like the
-//     fetch-hook path. Planting also invalidates any compiled blocks
-//     covering the address, so the block engine re-compiles through the
-//     corruption instead of executing a stale trace (and, unlike a fetch
-//     hook, a plant leaves the block engine enabled — the injected suffix
-//     keeps running at full speed).
+//     decoded-instruction cache (vm.PlantDecoded) once, before the run: the
+//     corrupted word executes at the address at full speed, memory stays
+//     pristine, and an undecodable word raises ExcIllegal at the address,
+//     exactly like a corrupted fetch. Planting also invalidates any
+//     compiled blocks covering the address, so the block engine
+//     re-compiles through the corruption instead of executing a stale
+//     trace. No breakpoint hook is installed, so the trigger address is
+//     not cut out of its block either.
 //   - A single store-data or load-address corruption installs a closure
 //     comparing the PC against one address, with no map lookups and no
 //     execution counters (Skip=0, Once=false makes shouldApply identically
 //     true).
 //
-// The cost of the shortcut is the activation count: a planted corruption is
-// never intercepted, so nobody counts how often it applied. The executor
-// only ever uses the count as "applied at least once", and over the golden
-// record that boolean is already known before the run (the injected run's
-// prefix is fault-free, so the trigger address is reached if and only if the
-// golden run reached it). ArmLean is therefore only correct to use when the
-// caller derives activation from a golden record; RunWithFault and the §5
-// experiments, which report exact counts, must keep using Arm.
+// The cost of the shortcut is the activation count: with no breakpoint hook
+// nothing intercepts the trigger, so nobody counts how often it applied.
+// The executor only ever uses the count as "applied at least once", and
+// over the golden record that boolean is already known before the run (the
+// injected run's prefix is fault-free, so the trigger address is reached if
+// and only if the golden run reached it). ArmLean is therefore only correct
+// to use when the caller derives activation from a golden record;
+// RunWithFault and the §5 experiments, which report exact counts, must keep
+// using Arm.
 
 // ArmLean arms f on m with the campaign-specialised fast paths when the
 // fault shape allows it, reporting whether it did. When it returns false the

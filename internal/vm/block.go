@@ -26,8 +26,12 @@ import "encoding/binary"
 //   - Micro-ops that can fault (memory, division, syscalls) carry the exact
 //     cycle cost and PC of their faulting component, so a mid-block
 //     exception leaves the machine in the same state a stepped run would.
-//   - Blocks whose first instruction is a trap are never executed compiled;
-//     the dispatcher steps them so the trap-hook protocol stays intact.
+//   - Blocks whose first instruction is a trap or a live breakpoint (an
+//     armed IABR with a hook) are never executed compiled; the dispatcher
+//     steps them so the trap-hook protocol and the breakpoint hook's
+//     ordering stay intact. No other block spans either: the compiler ends
+//     blocks before them, so only the trigger instruction itself pays for
+//     the interpreter.
 //
 // Fault-aware invalidation: compiled blocks mirror the decoded-instruction
 // cache, so every mutation of that cache — WriteWord into text, PlantDecoded,
@@ -35,6 +39,9 @@ import "encoding/binary"
 // mutated word (invalidateBlocksAt) or, on a full cache rebuild, all of them
 // (clearBlocks). An injector arming a corruption mid-run through a trap hook
 // therefore invalidates through the same calls, with no extra protocol.
+// Breakpoints going live or dead (SetIABR, ClearIABR, SetIABRHook, Reset,
+// Restore) likewise drop the blocks covering the address and the word
+// before it (invalidateBreakpoint).
 
 // maxBlockInsts caps the number of instructions one block may cover. The cap
 // bounds the backward scan of invalidateBlocksAt and keeps the dispatcher's
@@ -189,12 +196,17 @@ const (
 // block is one compiled basic block: the micro-ops plus the number of text
 // words (== instructions) it covers starting at its entry index. interp marks
 // a block the dispatcher must not run compiled (its first instruction is a
-// trap, whose hook protocol needs the interpreter).
+// trap or a live breakpoint, whose hooks need the interpreter).
 type block struct {
 	ops    []uop
 	n      uint32
 	interp bool
 }
+
+// interpBlock is the one-instruction interpreted block. Blocks are immutable
+// once built, so every trap or breakpoint entry shares it and re-compiling
+// one after an invalidation does not allocate.
+var interpBlock = &block{interp: true, n: 1}
 
 // blockWatchSafe reports whether block b, entered at text index idx with
 // cycle count cycles, can execute without any watchpoint firing inside it:
@@ -984,10 +996,10 @@ dispatch:
 				// conservative path.
 			}
 		}
-		// Trap block, misaligned/out-of-text PC, approaching run limit, or a
-		// watchpoint inside the block span: the interpreter's step handles
-		// one instruction with the canonical check ordering, then dispatch
-		// resumes.
+		// Trap or breakpoint block, misaligned/out-of-text PC, approaching
+		// run limit, or a watchpoint inside the block span: the interpreter's
+		// step handles one instruction with the canonical check ordering,
+		// then dispatch resumes.
 		m.pc, m.cycles = pc, cycles
 		m.step()
 		pc, cycles = m.pc, m.cycles

@@ -153,11 +153,9 @@ func captureDiff(m *Machine) diffState {
 	return d
 }
 
-// runFuzzPair generates the program for seed, runs it once on the
-// interpreter and once on the block engine (arm customizes both machines
-// identically before Run), and fails on any observable divergence. It
-// returns the cycle count so callers can assert the corpus is not vacuous.
-func runFuzzPair(t *testing.T, seed int64, arm func(m *Machine)) uint64 {
+// newFuzzMachine loads the program for seed, with the fuzz watchdog budget
+// and its input streams installed.
+func newFuzzMachine(t *testing.T, seed int64) *Machine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	text := genFuzzProgram(rng)
@@ -165,6 +163,20 @@ func runFuzzPair(t *testing.T, seed int64, arm func(m *Machine)) uint64 {
 	for i := range data {
 		data[i] = byte(i*37 + 11)
 	}
+	m := New(Config{})
+	if err := m.Load(Image{Text: text, Data: data, Entry: TextBase}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	m.SetMaxCycles(20000)
+	setFuzzInput(m, seed)
+	return m
+}
+
+// setFuzzInput installs the input streams for seed; they are drawn from the
+// seed's source right after the program.
+func setFuzzInput(m *Machine, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	genFuzzProgram(rng)
 	ints := make([]int32, 16)
 	for i := range ints {
 		ints[i] = rng.Int31n(200) - 100
@@ -173,17 +185,58 @@ func runFuzzPair(t *testing.T, seed int64, arm func(m *Machine)) uint64 {
 	for i := range bts {
 		bts[i] = byte(rng.Intn(256))
 	}
-	img := Image{Text: text, Data: data, Entry: TextBase}
+	m.SetInput(ints)
+	m.SetByteInput(bts)
+}
 
-	run := func(interpOnly bool) diffState {
-		m := New(Config{})
-		if err := m.Load(img); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+// fuzzVisited returns, in address order, the body addresses the program for
+// seed executes when run unarmed.
+func fuzzVisited(t *testing.T, seed int64) []uint32 {
+	t.Helper()
+	m := newFuzzMachine(t, seed)
+	seen := make(map[uint32]bool)
+	m.SetFetchHook(func(addr, word uint32) uint32 {
+		seen[addr] = true
+		return word
+	})
+	if _, err := m.Run(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	var out []uint32
+	for a := uint32(TextBase + fuzzSetupLen*WordSize); a < TextBase+(fuzzSetupLen+fuzzBodyLen)*WordSize; a += WordSize {
+		if seen[a] {
+			out = append(out, a)
 		}
+	}
+	return out
+}
+
+// runFuzzPair generates the program for seed, runs it once on the
+// interpreter and once on the block engine (arm customizes both machines
+// identically before Run), and fails on any observable divergence. It
+// returns the cycle count so callers can assert the corpus is not vacuous.
+func runFuzzPair(t *testing.T, seed int64, arm func(m *Machine)) uint64 {
+	return runFuzzPairWarm(t, seed, false, arm)
+}
+
+// runFuzzPairWarm is runFuzzPair with an optional warm-up: when warm is set,
+// each machine first runs the program unarmed and is Reset, so the block
+// engine's cache already holds blocks over the whole executed text when arm
+// runs.
+func runFuzzPairWarm(t *testing.T, seed int64, warm bool, arm func(m *Machine)) uint64 {
+	t.Helper()
+	run := func(interpOnly bool) diffState {
+		m := newFuzzMachine(t, seed)
 		m.SetInterpOnly(interpOnly)
-		m.SetMaxCycles(20000)
-		m.SetInput(append([]int32(nil), ints...))
-		m.SetByteInput(append([]byte(nil), bts...))
+		if warm {
+			if _, err := m.Run(); err != nil {
+				t.Fatalf("seed %d: warm-up: %v", seed, err)
+			}
+			if err := m.Reset(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			setFuzzInput(m, seed)
+		}
 		if arm != nil {
 			arm(m)
 		}
@@ -271,5 +324,211 @@ func TestBlockDiffFuzzMidRunPlant(t *testing.T) {
 				m.PlantDecoded(TextBase+uint32(idx)*WordSize, word)
 			})
 		})
+	}
+}
+
+// TestBlockDiffFuzzBreakpoints re-runs the corpus with 0–2 hooked
+// instruction-address breakpoints at random body addresses, on warm machines
+// whose blocks already span those addresses. Each hook mutates a register,
+// plants a word into the decoded cache (or toggles a plant back to the
+// memory word on alternate hits, as the injector's Skip/Once path does),
+// writes text at its address, or disarms its own register. Some breakpoints
+// are armed before the run, the rest mid-run from the hook of a trap word
+// planted in the body. The block engine cuts its blocks at live breakpoints
+// and must match the interpreter on the full machine state.
+func TestBlockDiffFuzzBreakpoints(t *testing.T) {
+	const (
+		actReg = iota
+		actPlant
+		actToggle
+		actWrite
+		actDisarm
+		numActs
+	)
+	type bp struct {
+		addr   uint32
+		act    int
+		word   uint32
+		reg    uint8
+		midRun bool
+	}
+	var hits uint64
+	for seed := int64(0); seed < 128; seed++ {
+		prng := rand.New(rand.NewSource(seed ^ 0x1abc))
+		visited := fuzzVisited(t, seed)
+		bodyAddr := func() uint32 {
+			// Mostly addresses the run reaches, so hooks actually fire.
+			if len(visited) > 0 && prng.Intn(4) != 0 {
+				return visited[prng.Intn(len(visited))]
+			}
+			return TextBase + uint32(fuzzSetupLen+prng.Intn(fuzzBodyLen))*WordSize
+		}
+		bps := make([]bp, prng.Intn(NumIABR+1))
+		for i := range bps {
+			word := prng.Uint32()
+			if prng.Intn(2) == 0 {
+				word = Encode(Inst{Op: OpAddi, RD: 2 + uint8(prng.Intn(8)), RA: 2 + uint8(prng.Intn(8)), Imm: int32(prng.Intn(64))})
+			}
+			bps[i] = bp{
+				addr: bodyAddr(), act: prng.Intn(numActs), word: word,
+				reg: 2 + uint8(prng.Intn(8)), midRun: prng.Intn(2) == 0,
+			}
+		}
+		trapAt := bodyAddr()
+		runFuzzPairWarm(t, seed, true, func(m *Machine) {
+			count := make([]int, len(bps))
+			m.SetIABRHook(func(m *Machine, addr uint32) {
+				for i, b := range bps {
+					if b.addr != addr || !m.iabrSet[i] || m.iabr[i] != addr {
+						continue
+					}
+					count[i]++
+					if !m.interpOnly {
+						hits++
+					}
+					// Errors ignored: planting and writing can only fail
+					// outside text, and a breakpoint only fires in it.
+					switch b.act {
+					case actReg:
+						m.SetReg(b.reg, m.Reg(b.reg)^uint32(0x9e3779b9*count[i]))
+					case actPlant:
+						m.PlantDecoded(addr, b.word)
+					case actToggle:
+						if count[i]%2 == 1 {
+							m.PlantDecoded(addr, b.word)
+						} else {
+							w, _ := m.ReadWord(addr)
+							m.PlantDecoded(addr, w)
+						}
+					case actWrite:
+						m.SetTextWritable(true)
+						m.WriteWord(addr, b.word)
+						m.SetTextWritable(false)
+					case actDisarm:
+						m.ClearIABR(i)
+					}
+				}
+			})
+			var mid []int
+			for i, b := range bps {
+				if b.midRun {
+					mid = append(mid, i)
+				} else if err := m.SetIABR(i, b.addr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(mid) == 0 {
+				return
+			}
+			orig, _ := m.ReadWord(trapAt)
+			if in, err := Decode(orig); err == nil && in.Op == OpTrap {
+				return // emulating a displaced trap would re-enter the hook
+			}
+			m.SetTextWritable(true)
+			m.WriteWord(trapAt, Encode(Inst{Op: OpTrap}))
+			m.SetTextWritable(false)
+			m.SetTrapHook(func(m *Machine, pc uint32) error {
+				for _, i := range mid {
+					if err := m.SetIABR(i, bps[i].addr); err != nil {
+						return err
+					}
+				}
+				mid = nil
+				return m.ExecuteInjected(orig)
+			})
+		})
+	}
+	if hits < 1000 {
+		t.Fatalf("breakpoints fired only %d times across the corpus; generator is broken", hits)
+	}
+}
+
+// checkNoBlockSpans fails if any compiled block starting before text word
+// idx covers it, and reports the block entered at idx.
+func checkNoBlockSpans(t *testing.T, m *Machine, idx uint32) *block {
+	t.Helper()
+	for j := uint32(0); j < idx; j++ {
+		if b := m.blocks[j]; b != nil && j+b.n > idx {
+			t.Fatalf("block at word %d (%d words) spans the live breakpoint at word %d", j, b.n, idx)
+		}
+	}
+	return m.blocks[idx]
+}
+
+// TestBreakpointBlockCuts checks the compiler's side of live breakpoints on
+// a warm machine: arming one drops every block spanning it and makes the
+// breakpoint word its own interpreted block, and every way of killing it —
+// ClearIABR, removing the hook, Reset, Restore — leaves no stale
+// interpreted block behind and lets the blocks grow back to the layout of a
+// machine that never had the breakpoint.
+func TestBreakpointBlockCuts(t *testing.T) {
+	prog := make([]Inst, 0, 100)
+	for i := 0; i < 96; i++ {
+		prog = append(prog, Inst{Op: OpAddi, RD: 3, RA: 3, Imm: 1})
+	}
+	img := buildImage(append(prog, exitSeq()...))
+	ref := New(Config{})
+	if err := ref.Load(img); err != nil {
+		t.Fatal(err)
+	}
+	ref.CompileAllBlocks()
+
+	const idx = 40
+	addr := uint32(TextBase + idx*WordSize)
+	m := New(Config{})
+	if err := m.Load(img); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	arm := func() {
+		t.Helper()
+		m.CompileAllBlocks()
+		if b := m.blocks[idx-1]; b == nil || b.n < 2 {
+			t.Fatal("warm machine has no block spanning the breakpoint address")
+		}
+		m.SetIABRHook(func(*Machine, uint32) {})
+		if err := m.SetIABR(0, addr); err != nil {
+			t.Fatal(err)
+		}
+		if b := checkNoBlockSpans(t, m, idx); b != nil && !b.interp {
+			t.Fatal("compiled block survives at the live breakpoint")
+		}
+		m.CompileAllBlocks()
+		if b := checkNoBlockSpans(t, m, idx); b == nil || !b.interp {
+			t.Fatal("live breakpoint word is not an interpreted block")
+		}
+	}
+	disarms := []struct {
+		name string
+		kill func()
+	}{
+		{"ClearIABR", func() { m.ClearIABR(0) }},
+		{"SetIABRHook(nil)", func() { m.SetIABRHook(nil) }},
+		{"Reset", func() {
+			if err := m.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Restore", func() {
+			if err := m.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, d := range disarms {
+		arm()
+		d.kill()
+		if b := m.blocks[idx]; b != nil && b.interp {
+			t.Fatalf("%s: stale interpreted block at the disarmed address", d.name)
+		}
+		m.CompileAllBlocks()
+		for j, b := range m.blocks {
+			if rb := ref.blocks[j]; b.n != rb.n || b.interp != rb.interp {
+				t.Fatalf("%s: block at word %d is %d words (interp %v), want %d (interp %v)",
+					d.name, j, b.n, b.interp, rb.n, rb.interp)
+			}
+		}
+		m.SetIABRHook(nil)
+		m.ClearIABR(0)
 	}
 }

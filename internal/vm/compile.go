@@ -33,7 +33,7 @@ func fuseDest(r uint8) bool { return r != RegSP && r != RegZero }
 
 // Block terminal kinds found by the scanner.
 const (
-	termFall   = iota // fell off the cap, the text end, or stopped before a trap
+	termFall   = iota // fell off the cap or text end, or stopped before a trap or live breakpoint
 	termBranch        // consumed a control-transfer instruction (b/bl/blr/bc/sc)
 	termIll           // consumed an undecodable word (raises ExcIllegal)
 )
@@ -45,10 +45,11 @@ func (m *Machine) buildBlock(start uint32) *block {
 	end := uint32(len(decoded))
 	base := m.textBase
 
-	if decoded[start].Op == OpTrap {
-		// The trap-hook protocol (displaced-instruction emulation) belongs to
-		// the interpreter; the dispatcher steps this block.
-		return &block{interp: true, n: 1}
+	if decoded[start].Op == OpTrap || m.iabrLive(start) {
+		// The trap-hook protocol (displaced-instruction emulation) and the
+		// breakpoint hook's canonical ordering belong to the interpreter;
+		// the dispatcher steps this block.
+		return interpBlock
 	}
 
 	insts := make([]Inst, 0, 16)
@@ -56,6 +57,10 @@ func (m *Machine) buildBlock(start uint32) *block {
 	kind := termFall
 scan:
 	for uint32(len(insts)) < maxBlockInsts && idx < end {
+		if m.iabrLive(idx) {
+			// End before a live breakpoint, exactly as before a trap.
+			break
+		}
 		in := decoded[idx]
 		switch in.Op {
 		case OpTrap:

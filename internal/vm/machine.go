@@ -121,9 +121,12 @@ const (
 )
 
 // FetchHook may rewrite an instruction word as it crosses the bus from memory
-// to the processor. This is Xception's "error inserted in the data fetched"
-// location for opcode fetches: memory is untouched, only the executed word
-// changes. Return the (possibly modified) word.
+// to the processor: memory is untouched, only the executed word changes.
+// Return the (possibly modified) word. The machine consults it on every
+// cycle, so an installed fetch hook confines the run to the per-instruction
+// step path. The injector emulates Xception's "error inserted in the data
+// fetched" location with a breakpoint hit plus PlantDecoded instead, which
+// keeps the block engine enabled.
 type FetchHook func(addr uint32, word uint32) uint32
 
 // LoadHook may rewrite a data word fetched by lwz/lwzx/lbz/lbzx.
@@ -220,10 +223,12 @@ type Machine struct {
 	// Block compilation (block.go/compile.go). blocks caches one compiled
 	// basic block per text-word entry index (nil = not yet compiled);
 	// blockOK caches block-dispatch eligibility the way hot does for the
-	// fast loop — it additionally tolerates watchpoints, which the block
-	// dispatcher proves absent per block; interpOnly is the -interp-only
-	// A/B switch forcing the per-instruction paths, persistent across
-	// Load/Reset/Restore like the watchdog budget.
+	// fast loop. It additionally tolerates watchpoints, which the block
+	// dispatcher proves absent per block, and live breakpoints, which the
+	// compiler cuts blocks at (see iabrLive); only a fetch hook or a trace
+	// ring rules blocks out. interpOnly is the -interp-only A/B switch
+	// forcing the per-instruction paths, persistent across Load/Reset/
+	// Restore like the watchdog budget.
 	blocks     []*block
 	blockOK    bool
 	interpOnly bool
@@ -581,10 +586,7 @@ func (m *Machine) Reset() error {
 	m.inPos, m.inBPos = 0, 0
 	m.output = m.output[:0]
 
-	m.iabr = [NumIABR]uint32{}
-	m.iabrSet = [NumIABR]bool{}
-	m.iabrAny = false
-	m.iabrHook = nil
+	m.clearIABRs()
 	m.fetchHook = nil
 	m.loadHook = nil
 	m.storeHook = nil
@@ -704,6 +706,12 @@ func (m *Machine) SetIABR(i int, addr uint32) error {
 	if i < 0 || i >= NumIABR {
 		return fmt.Errorf("vm: IABR index %d out of range (processor has %d)", i, NumIABR)
 	}
+	if m.iabrHook != nil {
+		if m.iabrSet[i] {
+			m.invalidateBreakpoint(m.iabr[i])
+		}
+		m.invalidateBreakpoint(addr)
+	}
 	m.iabr[i] = addr
 	m.iabrSet[i] = true
 	m.iabrAny = true
@@ -714,6 +722,9 @@ func (m *Machine) SetIABR(i int, addr uint32) error {
 // ClearIABR disarms breakpoint register i.
 func (m *Machine) ClearIABR(i int) {
 	if i >= 0 && i < NumIABR {
+		if m.iabrSet[i] && m.iabrHook != nil {
+			m.invalidateBreakpoint(m.iabr[i])
+		}
 		m.iabrSet[i] = false
 	}
 	m.iabrAny = false
@@ -725,21 +736,86 @@ func (m *Machine) ClearIABR(i int) {
 	m.updateHot()
 }
 
-// SetIABRHook installs the callback run on IABR hits.
-func (m *Machine) SetIABRHook(h IABRHook) { m.iabrHook = h; m.updateHot() }
+// SetIABRHook installs the callback run on IABR hits. Installing a hook
+// where there was none, or removing it, turns the armed addresses into live
+// or dead breakpoints, so the blocks around them are recompiled.
+func (m *Machine) SetIABRHook(h IABRHook) {
+	if (m.iabrHook == nil) != (h == nil) {
+		m.invalidateIABRs()
+	}
+	m.iabrHook = h
+	m.updateHot()
+}
+
+// iabrLive reports whether text word idx carries a live breakpoint: an armed
+// IABR with a hook installed. The block compiler ends every block before a
+// live breakpoint and gives the breakpoint word its own interpreted block,
+// so the hook runs from step in the canonical order while the rest of the
+// text keeps running compiled.
+func (m *Machine) iabrLive(idx uint32) bool {
+	if m.iabrHook == nil {
+		return false
+	}
+	addr := m.textBase + idx*WordSize
+	for i := 0; i < NumIABR; i++ {
+		if m.iabrSet[i] && m.iabr[i] == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// invalidateBreakpoint drops the compiled blocks a breakpoint at addr going
+// live or dead affects: those covering addr (which must now end before it,
+// or may now run through it) and those covering the word before it (cut
+// short at addr, they may now extend past it).
+func (m *Machine) invalidateBreakpoint(addr uint32) {
+	if addr%WordSize != 0 || addr < m.textBase || addr >= m.textEnd {
+		return
+	}
+	i := (addr - m.textBase) / WordSize
+	m.invalidateBlocksAt(i)
+	if i > 0 {
+		m.invalidateBlocksAt(i - 1)
+	}
+}
+
+// invalidateIABRs runs invalidateBreakpoint on every armed register.
+func (m *Machine) invalidateIABRs() {
+	for i := 0; i < NumIABR; i++ {
+		if m.iabrSet[i] {
+			m.invalidateBreakpoint(m.iabr[i])
+		}
+	}
+}
+
+// clearIABRs disarms both breakpoint registers and drops the hook, as Reset
+// and Restore do, recompiling the blocks around the breakpoints that were
+// live.
+func (m *Machine) clearIABRs() {
+	if m.iabrHook != nil {
+		m.invalidateIABRs()
+	}
+	m.iabr = [NumIABR]uint32{}
+	m.iabrSet = [NumIABR]bool{}
+	m.iabrAny = false
+	m.iabrHook = nil
+}
 
 // SetFetchHook installs the instruction-bus corruption hook.
 func (m *Machine) SetFetchHook(h FetchHook) { m.fetchHook = h; m.updateHot() }
 
 // updateHot refreshes the fast-loop and block-dispatch eligibility caches;
-// see the hot and blockOK fields. blockOK tolerates watchpoints — the block
-// dispatcher proves per block that none can fire inside it and falls back to
-// step otherwise — but needs everything else the fast loop needs.
+// see the hot and blockOK fields. The fast loop needs every per-step
+// observer absent. blockOK tolerates watchpoints — the block dispatcher
+// proves per block that none can fire inside it and falls back to step
+// otherwise — and live breakpoints, which the compiler isolates in
+// interpreted blocks; it still needs no fetch hook and no trace ring.
 func (m *Machine) updateHot() {
 	m.hot = !m.watchAny && m.trace == nil && m.fetchHook == nil &&
 		!(m.iabrAny && m.iabrHook != nil)
 	m.blockOK = !m.interpOnly && m.blocks != nil && m.trace == nil &&
-		m.fetchHook == nil && !(m.iabrAny && m.iabrHook != nil)
+		m.fetchHook == nil
 }
 
 // SetInterpOnly forces the per-instruction interpreter paths, disabling

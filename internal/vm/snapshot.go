@@ -298,10 +298,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.textMods = append(m.textMods[:0], s.textMods...)
 	m.textModsOvf = s.textModsOvf
 
-	m.iabr = [NumIABR]uint32{}
-	m.iabrSet = [NumIABR]bool{}
-	m.iabrAny = false
-	m.iabrHook = nil
+	m.clearIABRs()
 	m.fetchHook = nil
 	m.loadHook = nil
 	m.storeHook = nil
@@ -314,12 +311,13 @@ func (m *Machine) Restore(s *Snapshot) error {
 
 // PlantDecoded replaces the decoded-cache entry for one text address with
 // the decoding of word, leaving text memory untouched. This is the
-// zero-overhead form of an every-execution instruction-bus corruption: the
-// straight engine's fetch hook intercepts every cycle to substitute the word
-// at one address, while a planted entry executes at full speed with
-// bit-identical semantics (an undecodable word raises ExcIllegal at the
-// address, exactly like a corrupted fetch). Reset and Restore rebuild the
-// cache from memory, un-planting it.
+// zero-overhead form of an instruction-bus corruption: a fetch hook
+// intercepts every cycle to substitute the word at one address, while a
+// planted entry executes at full speed with bit-identical semantics (an
+// undecodable word raises ExcIllegal at the address, exactly like a
+// corrupted fetch). Planting from a breakpoint hook and re-planting the
+// memory word later corrupts chosen executions only. Reset and Restore
+// rebuild the cache from memory, un-planting it.
 func (m *Machine) PlantDecoded(addr, word uint32) error {
 	if addr%WordSize != 0 || addr < m.textBase || addr >= m.textEnd {
 		return fmt.Errorf("vm: plant outside text at %#x", addr)
