@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
 	"strconv"
@@ -29,8 +28,8 @@ import (
 	"syscall"
 
 	"repro/internal/cliutil"
-	"repro/internal/fabric"
 	"repro/internal/fault"
+	"repro/internal/job"
 	"repro/internal/journal"
 	"repro/internal/locator"
 	"repro/internal/metrics"
@@ -102,28 +101,14 @@ func run(args []string) error {
 	rest := fs.Args()
 	if fab.Join != "" {
 		// Executor mode: the program list comes from the coordinator's
-		// spec, so no arguments are taken here. Federation registers the
-		// executor-side instruments (chaos included) on its registry so
-		// they surface host-labelled on the coordinator.
-		fed := fabric.NewFederation(tel.Registry(), tel.Tracer())
-		fedWrap, err := fab.ChaosWrap(fed.Registry)
+		// spec, so no arguments are taken here.
+		opts, err := fab.JoinOptions("faultgen", *workers, procIsolation, hb, tel)
 		if err != nil {
 			return err
 		}
 		ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stopSignals()
-		return fabric.Join(ctx, fab.Join, fabric.ExecutorOptions{
-			Workers:         *workers,
-			Batch:           fabric.InProcBatch(planFactory, *workers),
-			DialTimeout:     fab.DialTimeout,
-			ReconnectWindow: fab.ReconnectWindow,
-			WrapConn:        fedWrap,
-			Metrics:         fabric.NewExecutorMetrics(fed.Registry),
-			Federation:      fed,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "faultgen: "+format+"\n", args...)
-			},
-		})
+		return job.Join(ctx, fab.Join, opts, job.Local{Tool: "faultgen", Batch: job.InProc(planFactory)})
 	}
 	if len(rest) == 0 {
 		return fmt.Errorf("usage: faultgen [flags] <program>... (or 'all')")
@@ -144,17 +129,16 @@ func run(args []string) error {
 		reg.Gauge("faultgen_programs_total").Set(int64(len(rest)))
 		plans = reg.Counter("faultgen_plans_total")
 	}
+	backend, err := cliutil.Backend("faultgen", *workers, procIsolation, hb, fab, tel)
+	if err != nil {
+		return err
+	}
 	var outs []string
-	if fab.Listen != "" {
-		outs, err = describeFabric(ctx, planSpec{
+	if backend != nil {
+		outs, err = describeRemote(ctx, backend, planSpec{
 			Programs: rest, Class: *class, N: *n, Seed: *seed,
 			Metrics: *withMetrics, JSON: *asJSON,
-		}, fab, hb, tel, plans)
-	} else if procIsolation {
-		outs, err = describeProc(ctx, planSpec{
-			Programs: rest, Class: *class, N: *n, Seed: *seed,
-			Metrics: *withMetrics, JSON: *asJSON,
-		}, *workers, hb, fab, tel, plans)
+		}, plans)
 	} else {
 		tr := tel.Tracer()
 		outs, err = parallel.MapCtx(ctx, *workers, len(rest), func(w, i int) (string, error) {
@@ -197,22 +181,11 @@ type planSpec struct {
 	JSON     bool     `json:"json"`
 }
 
-// planFactory is the worker-side factory: rebuild the spec, verify the
-// fingerprint, serve describe() per program with the rendered text as the
-// verdict payload.
-func planFactory(spec worker.Spec) (worker.Runner, error) {
-	if spec.Kind != specKindPlan {
-		return nil, fmt.Errorf("worker spec kind %q, faultgen serves %q", spec.Kind, specKindPlan)
-	}
-	if fp := worker.PayloadFingerprint(spec.Kind, spec.Payload); fp != spec.Fingerprint {
-		return nil, fmt.Errorf("spec fingerprint %016x does not match payload hash %016x", spec.Fingerprint, fp)
-	}
-	var s planSpec
-	if err := json.Unmarshal(spec.Payload, &s); err != nil {
-		return nil, err
-	}
+// planFactory is the worker-side factory: serve describe() per program
+// with the rendered text as the verdict payload.
+var planFactory = job.Factory(specKindPlan, func(s planSpec) (worker.Runner, error) {
 	return &planRunner{spec: s}, nil
-}
+})
 
 type planRunner struct{ spec planSpec }
 
@@ -227,134 +200,37 @@ func (r *planRunner) Run(unit int) (journal.Outcome, []byte, error) {
 	return journal.Outcome{Mode: 1}, []byte(out), nil
 }
 
-// describeProc fans the programs out over supervised faultgen worker
-// subprocesses and returns the rendered outputs in argument order. A
-// program whose plan repeatedly crashes its worker is reported as an error,
-// not silently dropped.
-func describeProc(ctx context.Context, s planSpec, workers int, hb *cliutil.HeartbeatFlags, fab *cliutil.FabricFlags, tel *telemetry.Telemetry, plans *telemetry.Counter) ([]string, error) {
-	payload, err := json.Marshal(s)
+// describeRemote plans the programs on a worker pool or an executor fleet
+// and returns the rendered outputs in argument order. A program whose plan
+// keeps taking down its worker or host is reported as an error, not
+// silently dropped.
+func describeRemote(ctx context.Context, b *job.Backend, s planSpec, plans *telemetry.Counter) ([]string, error) {
+	spec, err := job.NewSpec(specKindPlan, s)
 	if err != nil {
 		return nil, err
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	storageChaos, err := fab.StorageChaos(tel.Registry())
-	if err != nil {
-		return nil, err
-	}
-	pool, err := worker.NewPool(worker.Options{
-		Workers: workers,
-		Command: func() *exec.Cmd {
-			cmd := exec.Command(exe, "-worker-mode")
-			cmd.Stderr = os.Stderr
-			return cmd
-		},
-		Spec: worker.Spec{
-			Kind:        specKindPlan,
-			Fingerprint: worker.PayloadFingerprint(specKindPlan, payload),
-			Payload:     payload,
-		},
-		HeartbeatInterval: hb.Interval,
-		HeartbeatTimeout:  hb.Timeout,
-		WrapPipes:         cliutil.PipeWrap(storageChaos),
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "faultgen: "+format+"\n", args...)
-		},
-		Metrics: telemetry.NewWorkerMetrics(tel.Registry()),
-		Tracer:  tel.Tracer(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	indices := make([]int, len(s.Programs))
-	for i := range indices {
-		indices[i] = i
 	}
 	outs := make([]string, len(s.Programs))
 	var lost []string
-	err = pool.Run(ctx, indices, func(r worker.Result) error {
-		if r.Quarantined {
-			lost = append(lost, s.Programs[r.Index])
+	_, err = b.Run(ctx, job.Job{
+		Spec:  spec,
+		Units: len(s.Programs),
+		OnResult: func(r worker.Result) error {
+			// A local worker pool on an executor quarantines without a
+			// payload; every real plan renders at least its header.
+			if r.Quarantined || len(r.Payload) == 0 {
+				lost = append(lost, s.Programs[r.Index])
+				return nil
+			}
+			plans.Inc()
+			outs[r.Index] = string(r.Payload)
 			return nil
-		}
-		plans.Inc()
-		outs[r.Index] = string(r.Payload)
-		return nil
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	if len(lost) > 0 {
-		return nil, fmt.Errorf("planning crashed the worker for: %s", strings.Join(lost, ", "))
-	}
-	return outs, nil
-}
-
-// describeFabric shards the program list over fabric executors (faultgen
-// -fabric-join) and returns the rendered outputs in argument order — the
-// same contract as describeProc, one level of distribution up. Coordinator
-// and executors cross-check the payload fingerprint, so a mismatched
-// executor (different build or flag set) is rejected at the handshake.
-func describeFabric(ctx context.Context, s planSpec, fab *cliutil.FabricFlags, hb *cliutil.HeartbeatFlags, tel *telemetry.Telemetry, plans *telemetry.Counter) ([]string, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	chaosWrap, err := fab.ChaosWrap(tel.Registry())
-	if err != nil {
-		return nil, err
-	}
-	// Live fleet view: the tracker mirrors the coordinator's sessions for
-	// the -debug-addr server's /fleet endpoint.
-	fleet := fabric.NewFleetTracker(len(s.Programs), tel.Registry())
-	telemetry.SetFleetSource(fleet.Source())
-	defer telemetry.SetFleetSource(nil)
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
-		Addr:     fab.Listen,
-		MinHosts: fab.Hosts,
-		Spec: worker.Spec{
-			Kind:        specKindPlan,
-			Fingerprint: worker.PayloadFingerprint(specKindPlan, payload),
-			Payload:     payload,
-		},
-		Units:             len(s.Programs),
-		HeartbeatInterval: hb.Interval,
-		HeartbeatTimeout:  hb.Timeout,
-		SessionTimeout:    fab.SessionTimeout,
-		WrapConn:          chaosWrap,
-		Metrics:           fabric.NewMetrics(tel.Registry()),
-		Tracer:            tel.Tracer(),
-		Registry:          tel.Registry(),
-		Fleet:             fleet,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "faultgen: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	indices := make([]int, len(s.Programs))
-	for i := range indices {
-		indices[i] = i
-	}
-	outs := make([]string, len(s.Programs))
-	var lost []string
-	err = coord.Run(ctx, indices, func(r worker.Result) error {
-		if r.Quarantined {
-			lost = append(lost, s.Programs[r.Index])
-			return nil
-		}
-		plans.Inc()
-		outs[r.Index] = string(r.Payload)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(lost) > 0 {
-		return nil, fmt.Errorf("planning went down with every executor host for: %s", strings.Join(lost, ", "))
+		return nil, fmt.Errorf("planning took down every worker or host it was delivered to for: %s", strings.Join(lost, ", "))
 	}
 	return outs, nil
 }

@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
 	"strconv"
@@ -37,7 +36,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cc"
 	"repro/internal/cliutil"
-	"repro/internal/fabric"
+	"repro/internal/job"
 	"repro/internal/journal"
 	"repro/internal/parallel"
 	"repro/internal/programs"
@@ -129,24 +128,16 @@ func run(args []string) error {
 			return err
 		}
 		defer telCleanup()
-		fed := fabric.NewFederation(tel.Registry(), tel.Tracer())
-		chaosWrap, err := fab.ChaosWrap(fed.Registry)
+		opts, err := fab.JoinOptions("progrun", *workers, procIsolation, hb, tel)
 		if err != nil {
 			return err
 		}
 		ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stopSignals()
-		return fabric.Join(ctx, fab.Join, fabric.ExecutorOptions{
-			Workers:         *workers,
-			Batch:           fabric.InProcBatch(selftestFactory, *workers),
-			DialTimeout:     fab.DialTimeout,
-			ReconnectWindow: fab.ReconnectWindow,
-			WrapConn:        chaosWrap,
-			Metrics:         fabric.NewExecutorMetrics(fed.Registry),
-			Federation:      fed,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "progrun: "+format+"\n", args...)
-			},
+		return job.Join(ctx, fab.Join, opts, job.Local{
+			Tool:       "progrun",
+			Quarantine: journal.Outcome{Mode: uint8(campaign.HostFault)},
+			Batch:      job.InProc(selftestFactory),
 		})
 	}
 	rest := fs.Args()
@@ -178,7 +169,11 @@ func run(args []string) error {
 	}
 	defer telCleanup()
 	if *selftest > 0 {
-		return runSelftest(p, c, *selftest, *seed, *workers, procIsolation, *faulty, hb, fab, tel, tf)
+		backend, err := cliutil.Backend("progrun", *workers, procIsolation, hb, fab, tel)
+		if err != nil {
+			return err
+		}
+		return runSelftest(p, c, *selftest, *seed, *workers, *faulty, backend, tel, tf)
 	}
 
 	var ints []int32
@@ -246,9 +241,9 @@ type caseResult struct {
 // runSelftest batch-runs the compiled program over n generated inputs and
 // checks every output against the oracle — the fast way to confirm a
 // (possibly faulty) build still behaves before pointing a campaign at it.
-// With proc set the cases run in supervised worker subprocesses instead of
-// goroutines; the verdicts are identical.
-func runSelftest(p *programs.Program, c *cc.Compiled, n int, seed int64, workers int, proc, faulty bool, hb *cliutil.HeartbeatFlags, fab *cliutil.FabricFlags, tel *telemetry.Telemetry, tf *cliutil.TelemetryFlags) error {
+// With a backend the cases run in supervised worker subprocesses or on an
+// executor fleet instead of goroutines; the verdicts are identical.
+func runSelftest(p *programs.Program, c *cc.Compiled, n int, seed int64, workers int, faulty bool, backend *job.Backend, tel *telemetry.Telemetry, tf *cliutil.TelemetryFlags) error {
 	workers = parallel.DefaultWorkers(workers)
 	cases, err := workload.Generate(p.Kind, n, seed)
 	if err != nil {
@@ -259,13 +254,8 @@ func runSelftest(p *programs.Program, c *cc.Compiled, n int, seed int64, workers
 	defer stopSignals()
 	start := time.Now()
 	var results []caseResult
-	if fab.Listen != "" {
-		results, err = selftestFabric(ctx, selftestSpec{Program: p.Name, Faulty: faulty, N: n, Seed: seed}, fab, hb, tel)
-		if err != nil {
-			return err
-		}
-	} else if proc {
-		results, err = selftestProc(ctx, selftestSpec{Program: p.Name, Faulty: faulty, N: n, Seed: seed}, workers, hb, fab, tel)
+	if backend != nil {
+		results, err = selftestRemote(ctx, backend, selftestSpec{Program: p.Name, Faulty: faulty, N: n, Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -339,17 +329,7 @@ type selftestSpec struct {
 // selftestFactory is the worker-side factory: recompile the program and
 // regenerate the identical case set (workload generation is deterministic
 // per kind, count and seed), then serve cases as units.
-func selftestFactory(spec worker.Spec) (worker.Runner, error) {
-	if spec.Kind != specKindSelftest {
-		return nil, fmt.Errorf("worker spec kind %q, progrun serves %q", spec.Kind, specKindSelftest)
-	}
-	if fp := worker.PayloadFingerprint(spec.Kind, spec.Payload); fp != spec.Fingerprint {
-		return nil, fmt.Errorf("spec fingerprint %016x does not match payload hash %016x", spec.Fingerprint, fp)
-	}
-	var s selftestSpec
-	if err := json.Unmarshal(spec.Payload, &s); err != nil {
-		return nil, err
-	}
+var selftestFactory = job.Factory(specKindSelftest, func(s selftestSpec) (worker.Runner, error) {
 	p, ok := programs.ByName(s.Program)
 	if !ok {
 		return nil, fmt.Errorf("unknown program %q", s.Program)
@@ -369,7 +349,7 @@ func selftestFactory(spec worker.Spec) (worker.Runner, error) {
 		return nil, err
 	}
 	return &selftestRunner{c: c, cases: cases}, nil
-}
+})
 
 type selftestRunner struct {
 	c     *cc.Compiled
@@ -391,132 +371,38 @@ func (r *selftestRunner) Run(unit int) (journal.Outcome, []byte, error) {
 	return journal.Outcome{Mode: uint8(res.Mode)}, payload, nil
 }
 
-// selftestProc fans the cases out over supervised progrun worker
-// subprocesses and returns per-case results in case order. A case that
-// repeatedly crashes its worker comes back as a HostFault deviation rather
-// than aborting the batch.
-func selftestProc(ctx context.Context, s selftestSpec, workers int, hb *cliutil.HeartbeatFlags, fab *cliutil.FabricFlags, tel *telemetry.Telemetry) ([]caseResult, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	storageChaos, err := fab.StorageChaos(tel.Registry())
-	if err != nil {
-		return nil, err
-	}
-	pool, err := worker.NewPool(worker.Options{
-		Workers: workers,
-		Command: func() *exec.Cmd {
-			cmd := exec.Command(exe, "-worker-mode")
-			cmd.Stderr = os.Stderr
-			return cmd
-		},
-		Spec: worker.Spec{
-			Kind:        specKindSelftest,
-			Fingerprint: worker.PayloadFingerprint(specKindSelftest, payload),
-			Payload:     payload,
-		},
-		HeartbeatInterval: hb.Interval,
-		HeartbeatTimeout:  hb.Timeout,
-		WrapPipes:         cliutil.PipeWrap(storageChaos),
-		Quarantine:        journal.Outcome{Mode: uint8(campaign.HostFault)},
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "progrun: "+format+"\n", args...)
-		},
-		Metrics: telemetry.NewWorkerMetrics(tel.Registry()),
-		Tracer:  tel.Tracer(),
-	})
+// selftestRemote runs the case set on a worker pool or an executor fleet
+// and returns per-case results in case order. Workers and executors
+// regenerate the identical case set from the spec, so only verdicts cross
+// the wire. A case that keeps taking down its worker or host comes back as
+// a HostFault deviation rather than aborting the batch.
+func selftestRemote(ctx context.Context, b *job.Backend, s selftestSpec) ([]caseResult, error) {
+	spec, err := job.NewSpec(specKindSelftest, s)
 	if err != nil {
 		return nil, err
 	}
 	results := make([]caseResult, s.N)
-	err = pool.Run(ctx, caseIndices(s.N), selftestResult(results))
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// selftestFabric shards the case set over fabric executors (progrun
-// -fabric-join) — the same contract as selftestProc, one level of
-// distribution up. Executors regenerate the identical case set from the
-// spec (generation is deterministic per kind, count and seed), so only
-// verdicts cross the wire.
-func selftestFabric(ctx context.Context, s selftestSpec, fab *cliutil.FabricFlags, hb *cliutil.HeartbeatFlags, tel *telemetry.Telemetry) ([]caseResult, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	chaosWrap, err := fab.ChaosWrap(tel.Registry())
-	if err != nil {
-		return nil, err
-	}
-	// Live fleet view: the tracker mirrors the coordinator's sessions for
-	// the -debug-addr server's /fleet endpoint.
-	fleet := fabric.NewFleetTracker(s.N, tel.Registry())
-	telemetry.SetFleetSource(fleet.Source())
-	defer telemetry.SetFleetSource(nil)
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
-		Addr:     fab.Listen,
-		MinHosts: fab.Hosts,
-		Spec: worker.Spec{
-			Kind:        specKindSelftest,
-			Fingerprint: worker.PayloadFingerprint(specKindSelftest, payload),
-			Payload:     payload,
-		},
-		Units:             s.N,
-		HeartbeatInterval: hb.Interval,
-		HeartbeatTimeout:  hb.Timeout,
-		SessionTimeout:    fab.SessionTimeout,
-		WrapConn:          chaosWrap,
-		Metrics:           fabric.NewMetrics(tel.Registry()),
-		Quarantine:        journal.Outcome{Mode: uint8(campaign.HostFault)},
-		Tracer:            tel.Tracer(),
-		Registry:          tel.Registry(),
-		Fleet:             fleet,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "progrun: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer coord.Close()
-	results := make([]caseResult, s.N)
-	err = coord.Run(ctx, caseIndices(s.N), selftestResult(results))
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// caseIndices is the identity unit list 0..n-1 both batch backends take.
-func caseIndices(n int) []int {
-	indices := make([]int, n)
-	for i := range indices {
-		indices[i] = i
-	}
-	return indices
-}
-
-// selftestResult builds the verdict callback shared by the proc and fabric
-// backends: decode the payload into its case slot, mapping quarantined
-// cases to HostFault deviations.
-func selftestResult(results []caseResult) func(worker.Result) error {
-	return func(r worker.Result) error {
-		if r.Quarantined {
-			results[r.Index] = caseResult{Mode: campaign.HostFault, State: "quarantined"}
+	_, err = b.Run(ctx, job.Job{
+		Spec:       spec,
+		Units:      s.N,
+		Quarantine: journal.Outcome{Mode: uint8(campaign.HostFault)},
+		OnResult: func(r worker.Result) error {
+			// A local worker pool on an executor quarantines without a
+			// payload; every real verdict carries its case result.
+			if r.Quarantined || len(r.Payload) == 0 {
+				results[r.Index] = caseResult{Mode: campaign.HostFault, State: "quarantined"}
+				return nil
+			}
+			var cr caseResult
+			if err := json.Unmarshal(r.Payload, &cr); err != nil {
+				return fmt.Errorf("case %d verdict payload: %w", r.Index, err)
+			}
+			results[r.Index] = cr
 			return nil
-		}
-		var cr caseResult
-		if err := json.Unmarshal(r.Payload, &cr); err != nil {
-			return fmt.Errorf("case %d verdict payload: %w", r.Index, err)
-		}
-		results[r.Index] = cr
-		return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
+	return results, nil
 }

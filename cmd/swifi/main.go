@@ -57,6 +57,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/injector"
+	"repro/internal/job"
 	"repro/internal/journal"
 	"repro/internal/telemetry"
 	"repro/internal/worker"
@@ -154,42 +155,26 @@ func run(args []string) error {
 		stopSignals()
 	}()
 
-	chaosCfg, err := fab.ChaosConfig()
-	if err != nil {
-		return err
-	}
 	// The storage/IPC half of -chaos: one process-wide injector shared by
 	// the journal and sidecar handles, the golden checkpoint poisoner and
 	// the proc-isolation pipes, so every plane draws from the same seed.
 	// nil unless the spec carries disk.*, pipe.* or poison keys.
-	storageChaos, err := fab.StorageChaos(tel.Registry())
+	chaosCfg, err := fab.ChaosConfig()
 	if err != nil {
 		return err
 	}
+	storageChaos := job.StorageChaos(chaosCfg, tel.Registry())
 
 	if fab.Join != "" {
 		// Executor mode: everything about the campaign — programs, scale,
 		// seed, mode — comes from the coordinator's spec; only local
 		// execution knobs apply here.
-		jo := campaign.JoinOptions{
-			Workers:         *workers,
-			DialTimeout:     fab.DialTimeout,
-			ReconnectWindow: fab.ReconnectWindow,
-			Chaos:           chaosCfg,
-			Registry:        tel.Registry(),
-			Tracer:          tel.Tracer(),
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "swifi: "+format+"\n", args...)
-			},
+		jo, err := fab.JoinOptions("swifi", *workers, procIsolation, hb, tel)
+		if err != nil {
+			return err
 		}
-		if procIsolation {
-			jo.Isolation = campaign.IsolationProc
-			jo.Proc = &campaign.ProcOptions{
-				HeartbeatInterval: hb.Interval,
-				HeartbeatTimeout:  hb.Timeout,
-				MaxDeliveries:     *procMaxDeliveries,
-				MaxRestarts:       *procMaxRestarts,
-			}
+		if jo.Proc != nil {
+			jo.Proc.MaxDeliveries, jo.Proc.MaxRestarts = *procMaxDeliveries, *procMaxRestarts
 		}
 		return campaign.JoinFabric(ctx, fab.Join, jo)
 	}
@@ -205,23 +190,12 @@ func run(args []string) error {
 	e.StorageChaos = storageChaos
 	if procIsolation {
 		e.Isolation = campaign.IsolationProc
-		e.Proc = &campaign.ProcOptions{
-			HeartbeatInterval: hb.Interval,
-			HeartbeatTimeout:  hb.Timeout,
-			MaxDeliveries:     *procMaxDeliveries,
-			MaxRestarts:       *procMaxRestarts,
-			WrapPipes:         cliutil.PipeWrap(storageChaos),
-		}
+		e.Proc = hb.ProcOptions()
+		e.Proc.MaxDeliveries, e.Proc.MaxRestarts = *procMaxDeliveries, *procMaxRestarts
+		e.Proc.WrapPipes = job.PipeWrap(storageChaos)
 	}
-	if fab.Listen != "" {
-		e.Fabric = &campaign.FabricOptions{
-			Listen:            fab.Listen,
-			MinHosts:          fab.Hosts,
-			HeartbeatInterval: hb.Interval,
-			HeartbeatTimeout:  hb.Timeout,
-			SessionTimeout:    fab.SessionTimeout,
-			Chaos:             chaosCfg,
-		}
+	if e.Fabric, err = fab.Coordinator(hb); err != nil {
+		return err
 	}
 	switch *mode {
 	case "hw":
@@ -238,7 +212,7 @@ func run(args []string) error {
 		// Under disk chaos the journal's own file handle is wrapped: the
 		// WAL must survive the disk faults it exists to absorb (ENOSPC and
 		// friends degrade it to in-memory mode; the campaign continues).
-		wrap := cliutil.JournalWrap(storageChaos)
+		wrap := job.JournalWrap(storageChaos)
 		if *resume {
 			j, err = journal.OpenWrapped(*journalPath, wrap)
 		} else {

@@ -359,8 +359,34 @@ func executeUnitsOpts(o execOpts, units []runUnit) ([]unitOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]unitOutcome, len(units))
-	todo := make([]int, 0, len(units))
+	out, todo := replayJournal(o, units)
+	if len(todo) == 0 {
+		return out, nil
+	}
+	ex := &unitExecutor{
+		opts:  o,
+		units: units,
+		out:   out,
+		pools: make([]*machinePool, parallel.DefaultWorkers(o.workers)),
+	}
+	err := parallel.ForEachCtx(ctx, o.workers, len(todo), func(w, k int) error {
+		return ex.run(w, todo[k])
+	})
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return out, err
+		}
+		return nil, err
+	}
+	return out, nil
+}
+
+// replayJournal is the prefix every executor path shares: it fills the
+// outcome slots of prefilled and journaled units — observing each replayed
+// one — and returns the slots with the indices still to execute.
+func replayJournal(o execOpts, units []runUnit) (out []unitOutcome, todo []int) {
+	out = make([]unitOutcome, len(units))
+	todo = make([]int, 0, len(units))
 	for i := range units {
 		if o.prefill != nil && o.prefill[i].mode != 0 {
 			out[i] = o.prefill[i]
@@ -381,25 +407,7 @@ func executeUnitsOpts(o execOpts, units []runUnit) ([]unitOutcome, error) {
 		}
 		todo = append(todo, i)
 	}
-	if len(todo) == 0 {
-		return out, nil
-	}
-	ex := &unitExecutor{
-		opts:  o,
-		units: units,
-		out:   out,
-		pools: make([]*machinePool, parallel.DefaultWorkers(o.workers)),
-	}
-	err := parallel.ForEachCtx(ctx, o.workers, len(todo), func(w, k int) error {
-		return ex.run(w, todo[k])
-	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return out, err
-		}
-		return nil, err
-	}
-	return out, nil
+	return out, todo
 }
 
 // unitExecutor carries the per-invocation state of executeUnitsOpts. Worker

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/golden"
 	"repro/internal/injector"
+	"repro/internal/job"
 	"repro/internal/journal"
 	"repro/internal/locator"
 	"repro/internal/metrics"
@@ -467,7 +468,7 @@ func Run(cfg Config) (*Result, error) {
 	// process-wide) the checkpoint poisoner. Poisoned checkpoints fail their
 	// integrity check on restore and degrade to straight execution, so the
 	// Result is unchanged; only Exec.Degraded and the chaos counters move.
-	golden.Shared.SetPoison(poisonHook(cfg.StorageChaos))
+	golden.Shared.SetPoison(job.PoisonHook(cfg.StorageChaos))
 	if tracer != nil {
 		for i := range units {
 			tracer.Emit(traceUnit(telemetry.KindPlanned, i, &units[i], 0))
@@ -491,12 +492,9 @@ func Run(cfg Config) (*Result, error) {
 		tracer:      tracer,
 	}
 	var outcomes []unitOutcome
-	switch {
-	case cfg.Fabric != nil:
-		outcomes, res.Hosts, err = executeUnitsFabric(&cfg, eo, units, pc.fp)
-	case cfg.Isolation == IsolationProc:
-		outcomes, err = executeUnitsProc(&cfg, eo, units, pc.fp)
-	default:
+	if cfg.Fabric != nil || cfg.Isolation == IsolationProc {
+		outcomes, res.Hosts, err = executeUnitsRemote(&cfg, eo, units, pc.fp)
+	} else {
 		outcomes, err = executeUnitsOpts(eo, units)
 	}
 	if err != nil {
@@ -520,15 +518,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	foldOutcomes(res, entryList, units, outcomes)
 	return res, nil
-}
-
-// poisonHook adapts a storage-chaos injector into the golden store's poison
-// hook; nil (hook disarmed) unless checkpoint poisoning is configured.
-func poisonHook(c *chaos.Chaos) func() bool {
-	if cc := c.Config(); cc.DiskPoison <= 0 {
-		return nil
-	}
-	return c.PoisonCheckpoint
 }
 
 // foldOutcomes aggregates per-unit outcome slots into the entries, in

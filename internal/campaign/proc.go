@@ -5,77 +5,40 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/injector"
+	"repro/internal/job"
 	"repro/internal/journal"
-	"repro/internal/parallel"
 	"repro/internal/telemetry"
 	"repro/internal/worker"
 )
 
-// This file is the process-isolation half of the campaign executor: with
+// This file is the remote half of the campaign executor: with
 // Config.Isolation set to IsolationProc, units execute in supervised worker
-// subprocesses (internal/worker) instead of goroutines. The campaign plan
-// is never shipped over the wire — both sides rebuild it deterministically
-// from the serialized Config and cross-check the plan fingerprint in the
-// handshake — so the protocol carries only unit indices out and verdicts
-// back, and the Result stays bit-identical to in-process execution for any
-// worker count: the same units, in the same slots, folded in the same
-// planning order.
+// subprocesses (internal/worker) instead of goroutines, and with
+// Config.Fabric set they are sharded over executor hosts (see fabric.go);
+// internal/job wires both backends. The campaign plan is never shipped over
+// the wire — both sides rebuild it deterministically from the serialized
+// Config and cross-check the plan fingerprint in the handshake — so the
+// protocol carries only unit indices out and verdicts back, and the Result
+// stays bit-identical to in-process execution for any worker count or
+// fleet: the same units, in the same slots, folded in the same planning
+// order.
 
-// Isolation selects where campaign units execute.
-type Isolation int
+// Isolation selects where campaign units execute; see job.Isolation.
+type Isolation = job.Isolation
 
 const (
-	// IsolationInProc runs units on goroutines in this process (the
-	// default; fastest, but a hard host failure in one unit can take the
-	// whole campaign down with it).
-	IsolationInProc Isolation = iota
-	// IsolationProc runs units in supervised worker subprocesses: a host
-	// crash, OOM-kill or wedge costs one worker and at most one in-flight
-	// unit delivery, never the campaign.
-	IsolationProc
+	IsolationInProc = job.IsolationInProc
+	IsolationProc   = job.IsolationProc
 )
 
-func (i Isolation) String() string {
-	switch i {
-	case IsolationInProc:
-		return "inproc"
-	case IsolationProc:
-		return "proc"
-	default:
-		return fmt.Sprintf("isolation(%d)", int(i))
-	}
-}
-
-// ProcOptions tunes the worker pool used under IsolationProc. The zero
-// value (and a nil *ProcOptions) selects the worker package defaults plus
-// self-re-exec spawning; tests override Spawn and the cadences.
-type ProcOptions struct {
-	// Spawn builds one (not yet started) worker subprocess. nil re-executes
-	// the current binary with the single argument -worker-mode, which every
-	// CLI wires to worker.Serve.
-	Spawn func() *exec.Cmd
-
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	MaxDeliveries     int
-	MaxRestarts       int
-	MemQuota          int64
-	BackoffBase       time.Duration
-	BackoffMax        time.Duration
-
-	// WrapPipes, when non-nil, interposes on every worker subprocess's
-	// stdin/stdout pair — the storage/IPC chaos plane's hook for corrupting,
-	// truncating or severing supervisor pipes (see worker.Options.WrapPipes).
-	// Production paths leave it nil.
-	WrapPipes func(w io.WriteCloser, r io.Reader) (io.WriteCloser, io.Reader)
-}
+// ProcOptions tunes the worker pool used under IsolationProc; see
+// job.ProcOptions.
+type ProcOptions = job.ProcOptions
 
 // SpecKindCampaign is the worker.Spec kind for class campaigns (§6).
 const SpecKindCampaign = "campaign/v1"
@@ -148,16 +111,17 @@ func configFromProcSpec(payload []byte) (Config, error) {
 	}, nil
 }
 
-// WorkerFactory is the worker.Factory for campaign specs: it re-plans the
-// campaign from the spec payload, verifies the rebuilt plan's fingerprint
-// against the supervisor's (a mismatch means differing builds or program
-// tables — executing under a wrong unit numbering would corrupt the
-// campaign silently), and serves units through the same per-unit isolation
-// path (runIsolated) the in-process executor uses, so panic-retry, timeout
-// and cycle-quota semantics are identical in both modes.
-func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
+// replan rebuilds the campaign plan from a worker spec, on a worker process
+// or an executor host, and verifies the rebuilt fingerprint against the
+// spec's: a mismatch means differing builds or program tables, and
+// executing under a wrong unit numbering would corrupt the campaign
+// silently. The returned executor serves units through the same per-unit
+// isolation path (runIsolated) the in-process executor uses, so
+// panic-retry, timeout and cycle-quota semantics are identical everywhere;
+// it keeps one machine pool per local worker.
+func replan(spec worker.Spec, workers int) (*unitExecutor, error) {
 	if spec.Kind != SpecKindCampaign {
-		return nil, fmt.Errorf("campaign: worker spec kind %q, this factory serves %q", spec.Kind, SpecKindCampaign)
+		return nil, fmt.Errorf("campaign: spec kind %q, this build serves %q", spec.Kind, SpecKindCampaign)
 	}
 	cfg, err := configFromProcSpec(spec.Payload)
 	if err != nil {
@@ -165,159 +129,138 @@ func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
 	}
 	pc, err := planCampaign(&cfg)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: worker re-planning failed: %w", err)
+		return nil, fmt.Errorf("campaign: re-planning from the spec failed: %w", err)
 	}
 	if pc.fp != spec.Fingerprint {
-		return nil, fmt.Errorf("campaign: rebuilt plan fingerprint %016x does not match the supervisor's %016x; differing builds or configuration", pc.fp, spec.Fingerprint)
+		return nil, fmt.Errorf("campaign: rebuilt plan fingerprint %016x does not match the spec's %016x; differing builds or configuration", pc.fp, spec.Fingerprint)
 	}
-	return &campaignRunner{
+	return &unitExecutor{
+		opts:  execOpts{unitTimeout: cfg.UnitTimeout, interpOnly: cfg.InterpOnly},
 		units: pc.units,
-		ex: &unitExecutor{
-			opts:  execOpts{unitTimeout: cfg.UnitTimeout, interpOnly: cfg.InterpOnly},
-			units: pc.units,
-			out:   make([]unitOutcome, len(pc.units)),
-			pools: make([]*machinePool, 1),
-		},
+		pools: make([]*machinePool, workers),
 	}, nil
 }
 
-// campaignRunner executes units inside a worker process. It is a
-// single-worker unitExecutor behind the worker.Runner interface: worker
+// WorkerFactory is the worker.Factory for campaign specs. Worker
 // subprocesses are single-threaded unit servers (parallelism lives in the
-// pool, one unit in flight per process), so slot 0 is the only pool.
-type campaignRunner struct {
-	units []runUnit
-	ex    *unitExecutor
+// pool, one unit in flight per process), so slot 0 is the only machine
+// pool.
+func WorkerFactory(spec worker.Spec) (worker.Runner, error) {
+	ex, err := replan(spec, 1)
+	if err != nil {
+		return nil, err
+	}
+	return campaignRunner{ex}, nil
 }
 
-func (r *campaignRunner) Units() int { return len(r.units) }
+// campaignRunner executes units inside a worker process.
+type campaignRunner struct{ ex *unitExecutor }
+
+func (r campaignRunner) Units() int { return len(r.ex.units) }
 
 // testProcUnitHook, when non-nil (worker processes in tests only), runs
 // before each unit a campaignRunner serves; it may kill or stop the worker
 // process to exercise the supervisor.
 var testProcUnitHook func(unit int)
 
-func (r *campaignRunner) Run(unit int) (journal.Outcome, []byte, error) {
+func (r campaignRunner) Run(unit int) (journal.Outcome, []byte, error) {
 	if h := testProcUnitHook; h != nil {
 		h(unit)
 	}
-	o, err := r.ex.runIsolated(0, &r.units[unit])
+	o, err := r.ex.runIsolated(0, &r.ex.units[unit])
 	if err != nil {
 		return journal.Outcome{}, nil, err
 	}
 	return o.journal(), nil, nil
 }
 
-// defaultSpawn re-executes the current binary in worker mode.
-func defaultSpawn() *exec.Cmd {
-	exe, err := os.Executable()
-	if err != nil {
-		exe = os.Args[0]
-	}
-	cmd := exec.Command(exe, "-worker-mode")
-	cmd.Stderr = os.Stderr
-	return cmd
-}
-
-// executeUnitsProc is the IsolationProc counterpart of executeUnitsOpts:
-// journaled units are replayed exactly as in-process, the rest are driven
-// through a supervised worker pool, and every verdict is journaled as it
-// arrives. If the pool's circuit breaker trips — the host cannot keep
-// worker subprocesses alive — the campaign degrades to in-process execution
-// for the units still missing rather than failing, with the completed
-// verdicts carried over via the prefill slots.
-func executeUnitsProc(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]unitOutcome, error) {
+// executeUnitsRemote is the counterpart of executeUnitsOpts for both remote
+// backends, a worker pool (IsolationProc) and an executor fleet
+// (Config.Fabric): journaled units are replayed exactly as in-process, the
+// rest run on the backend, and every verdict is journaled as it arrives.
+// Only the error tails differ. A tripped pool circuit breaker degrades the
+// campaign to in-process execution for the missing units, the completed
+// verdicts carried over as prefilled slots; a fleet keeps its scheduling
+// sidecar until the campaign completes.
+func executeUnitsRemote(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]unitOutcome, []telemetry.HostStats, error) {
 	ctx := o.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]unitOutcome, len(units))
-	todo := make([]int, 0, len(units))
-	for i := range units {
-		if o.journal != nil {
-			if jo, ok := o.journal.Done(i); ok {
-				out[i] = outcomeFromJournal(jo)
-				out[i].replayed = true
-				o.met.noteReplayed(out[i])
-				if o.tracer != nil {
-					e := traceUnit(telemetry.KindReplayed, i, &units[i], 0)
-					e.Mode = out[i].mode.String()
-					o.tracer.Emit(e)
-				}
-				continue
-			}
-		}
-		todo = append(todo, i)
-	}
+	out, todo := replayJournal(o, units)
 	if len(todo) == 0 {
-		return out, nil
+		return out, nil, nil
 	}
-
 	spec, err := procSpecFromConfig(cfg, fp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	po := cfg.Proc
-	if po == nil {
-		po = &ProcOptions{}
+	b := &job.Backend{
+		Workers:  o.workers,
+		Proc:     cfg.Proc,
+		Fabric:   cfg.Fabric,
+		Registry: cfg.Telemetry.Registry(),
+		Tracer:   o.tracer,
+		Log:      job.Logger("campaign"),
 	}
-	spawn := po.Spawn
-	if spawn == nil {
-		spawn = defaultSpawn
+	lost := "crashed its worker subprocess on every delivery; quarantined by the supervisor"
+	var side *journal.SideLog
+	if cfg.Fabric != nil {
+		lost = "went down with its executor host on every delivery; quarantined by the coordinator"
+		// A crashed coordinator restarted with -resume finds the sidecar
+		// and rebuilds the session table and outstanding ranges; a
+		// completed campaign removes it — only the canonical journal
+		// outlives the run.
+		if side, err = openFabricSide(o.journal, fp, job.JournalWrap(cfg.StorageChaos)); err != nil {
+			return nil, nil, err
+		}
 	}
-	var wm *telemetry.WorkerMetrics
-	if o.met != nil && cfg.Telemetry != nil {
-		wm = newWorkerMetrics(cfg.Telemetry.Registry())
-	}
-	pool, err := worker.NewPool(worker.Options{
-		Workers:           parallel.DefaultWorkers(o.workers),
-		Command:           spawn,
-		Spec:              spec,
-		HeartbeatInterval: po.HeartbeatInterval,
-		HeartbeatTimeout:  po.HeartbeatTimeout,
-		UnitTimeout:       o.unitTimeout,
-		MaxDeliveries:     po.MaxDeliveries,
-		MaxRestarts:       po.MaxRestarts,
-		BackoffBase:       po.BackoffBase,
-		BackoffMax:        po.BackoffMax,
-		MemQuota:          po.MemQuota,
-		Quarantine:        journal.Outcome{Mode: uint8(HostFault)},
-		WrapPipes:         po.WrapPipes,
-		Metrics:           wm,
-		Tracer:            o.tracer,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
+	hosts, err := b.Run(ctx, job.Job{
+		Spec:        spec,
+		Units:       len(units),
+		Todo:        todo,
+		Quarantine:  journal.Outcome{Mode: uint8(HostFault)},
+		UnitTimeout: o.unitTimeout,
+		Side:        side,
+		// OnResult is serialized by the pool and by the coordinator's
+		// event loop alike, so the slot writes and journal appends need no
+		// further locking.
+		OnResult: func(r worker.Result) error {
+			u := &units[r.Index]
+			if r.Quarantined {
+				quarantineLog(u, lost, nil)
+			}
+			out[r.Index] = outcomeFromJournal(r.Outcome)
+			o.met.noteVerdict(0, out[r.Index])
+			if o.tracer != nil {
+				v := traceUnit(telemetry.KindVerdict, r.Index, u, 0)
+				v.Mode = out[r.Index].mode.String()
+				o.tracer.Emit(v)
+			}
+			if o.journal != nil {
+				if err := o.journal.Append(r.Index, r.Outcome); err != nil {
+					return fmt.Errorf("campaign: %w", err)
+				}
+			}
+			return nil
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	// onResult is serialized by the pool, so the slot writes and journal
-	// appends need no further locking.
-	err = pool.Run(ctx, todo, func(r worker.Result) error {
-		if r.Quarantined {
-			u := &units[r.Index]
-			quarantineLog(u, "crashed its worker subprocess on every delivery; quarantined by the supervisor", nil)
-		}
-		out[r.Index] = outcomeFromJournal(r.Outcome)
-		o.met.noteVerdict(0, out[r.Index])
-		if o.tracer != nil {
-			u := &units[r.Index]
-			v := traceUnit(telemetry.KindVerdict, r.Index, u, 0)
-			v.Mode = out[r.Index].mode.String()
-			o.tracer.Emit(v)
-		}
-		if o.journal != nil {
-			if err := o.journal.Append(r.Index, r.Outcome); err != nil {
-				return fmt.Errorf("campaign: %w", err)
+	if side != nil {
+		if err == nil {
+			// Completed campaign: the scheduling state is spent.
+			if rerr := side.Remove(); rerr != nil {
+				fmt.Fprintf(os.Stderr, "campaign: removing fabric sidecar: %v\n", rerr)
 			}
+		} else {
+			// Interrupted or failed: keep the sidecar on disk — it is
+			// exactly what a restarted coordinator needs to recover its
+			// sessions.
+			side.Close()
 		}
-		return nil
-	})
+	}
 	switch {
 	case err == nil:
-		return out, nil
+		return out, hosts, nil
 	case errors.Is(err, worker.ErrCircuitOpen):
 		// Graceful degradation: process isolation is unavailable on this
 		// host right now, but the campaign itself is fine. Finish the
@@ -325,10 +268,11 @@ func executeUnitsProc(cfg *Config, o execOpts, units []runUnit, fp uint64) ([]un
 		// prefilled slots (and are already journaled).
 		fmt.Fprintf(os.Stderr, "campaign: process isolation degraded to in-process execution (%v)\n", err)
 		o.prefill = out
-		return executeUnitsOpts(o, units)
+		out, err = executeUnitsOpts(o, units)
+		return out, nil, err
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return out, err
+		return out, hosts, err
 	default:
-		return nil, err
+		return nil, nil, err
 	}
 }

@@ -42,7 +42,7 @@ type campMetrics struct {
 	restarts *telemetry.Counter
 
 	// fabricHosts/fabricDeaths are the coordinator's fleet instruments
-	// (same registry, same names as newFabricMetrics registers), read by
+	// (same registry, same names as fabric.NewMetrics registers), read by
 	// the progress note so a distributed campaign's live line shows the
 	// fleet size and losses. Both stay zero on single-host runs.
 	fabricHosts  *telemetry.Gauge
@@ -168,12 +168,6 @@ func (m *campMetrics) snapshot() telemetry.ProgressSnap {
 	}
 	s.Note = strings.Join(notes, ", ")
 	return s
-}
-
-// newWorkerMetrics registers the worker-supervisor instruments on reg; nil
-// registry, nil bundle (the supervisor treats that as disabled).
-func newWorkerMetrics(reg *telemetry.Registry) *telemetry.WorkerMetrics {
-	return telemetry.NewWorkerMetrics(reg)
 }
 
 // newJournalMetrics registers the journal instruments on reg.

@@ -10,13 +10,10 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"os"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/journal"
+	"repro/internal/job"
 	"repro/internal/telemetry"
 )
 
@@ -173,52 +170,75 @@ func (f *FabricFlags) ChaosConfig() (*chaos.Config, error) {
 	return &cfg, nil
 }
 
-// ChaosWrap builds the connection wrapper for the -chaos spec, registering
-// the injector's counters on reg (nil reg: injection without metrics). An
-// empty spec returns a nil wrapper — the fabric's "no wrapping" value.
-func (f *FabricFlags) ChaosWrap(reg *telemetry.Registry) (func(net.Conn) net.Conn, error) {
-	cfg, err := f.ChaosConfig()
-	if err != nil || cfg == nil {
-		return nil, err
-	}
-	return chaos.New(*cfg, chaos.NewMetrics(reg)).Wrap, nil
+// ProcOptions maps the heartbeat flags onto worker-pool tuning; every
+// other knob keeps its default.
+func (h *HeartbeatFlags) ProcOptions() *job.ProcOptions {
+	return &job.ProcOptions{HeartbeatInterval: h.Interval, HeartbeatTimeout: h.Timeout}
 }
 
-// StorageChaos builds the storage/IPC-plane injector for the -chaos spec:
-// the disk.* keys fault the journal and sidecar handles (JournalWrap), the
-// pipe.* keys fault proc-isolation worker pipes (PipeWrap), disk.poison
-// corrupts golden checkpoints. A spec with none of those returns nil —
-// network-only chaos keeps the storage stack entirely unwrapped.
-func (f *FabricFlags) StorageChaos(reg *telemetry.Registry) (*chaos.Chaos, error) {
-	cfg, err := f.ChaosConfig()
-	if err != nil || cfg == nil {
-		return nil, err
-	}
-	if !cfg.DiskEnabled() && !cfg.PipeEnabled() && cfg.DiskPoison <= 0 {
+// Coordinator maps the flags onto fabric coordinator options; nil without
+// -fabric-listen.
+func (f *FabricFlags) Coordinator(hb *HeartbeatFlags) (*job.FabricOptions, error) {
+	if f.Listen == "" {
 		return nil, nil
 	}
-	return chaos.New(*cfg, chaos.NewMetrics(reg)), nil
+	cfg, err := f.ChaosConfig()
+	if err != nil {
+		return nil, err
+	}
+	return &job.FabricOptions{
+		Listen:            f.Listen,
+		MinHosts:          f.Hosts,
+		HeartbeatInterval: hb.Interval,
+		HeartbeatTimeout:  hb.Timeout,
+		SessionTimeout:    f.SessionTimeout,
+		Chaos:             cfg,
+	}, nil
 }
 
-// JournalWrap adapts a storage-chaos injector into the journal package's
-// File substitution hook (journal.CreateWrapped / OpenWrapped); nil unless
-// disk faults are configured, so clean runs take the unwrapped *os.File
-// path.
-func JournalWrap(c *chaos.Chaos) journal.Wrap {
-	if cc := c.Config(); !cc.DiskEnabled() {
-		return nil
+// JoinOptions maps the flags onto the options of a -fabric-join executor
+// logging as tool; with proc (-isolation=proc) it runs its batches on local
+// worker pools.
+func (f *FabricFlags) JoinOptions(tool string, workers int, proc bool, hb *HeartbeatFlags, tel *telemetry.Telemetry) (job.JoinOptions, error) {
+	cfg, err := f.ChaosConfig()
+	if err != nil {
+		return job.JoinOptions{}, err
 	}
-	return func(f *os.File) journal.File { return c.WrapFile(f) }
+	opts := job.JoinOptions{
+		Workers:         workers,
+		DialTimeout:     f.DialTimeout,
+		ReconnectWindow: f.ReconnectWindow,
+		Chaos:           cfg,
+		Registry:        tel.Registry(),
+		Tracer:          tel.Tracer(),
+		Log:             job.Logger(tool),
+	}
+	if proc {
+		opts.Isolation = job.IsolationProc
+		opts.Proc = hb.ProcOptions()
+	}
+	return opts, nil
 }
 
-// PipeWrap adapts a storage-chaos injector into the worker supervisor's
-// pipe interposition hook (campaign.ProcOptions.WrapPipes); nil unless pipe
-// faults are configured.
-func PipeWrap(c *chaos.Chaos) func(io.WriteCloser, io.Reader) (io.WriteCloser, io.Reader) {
-	if cc := c.Config(); !cc.PipeEnabled() {
-		return nil
+// Backend builds the backend the flags select for a job of tool: a fabric
+// coordinator under -fabric-listen, else a worker pool under
+// -isolation=proc (its pipes under the -chaos spec's pipe keys). nil means
+// neither: the caller runs its in-process path.
+func Backend(tool string, workers int, proc bool, hb *HeartbeatFlags, fab *FabricFlags, tel *telemetry.Telemetry) (*job.Backend, error) {
+	fo, err := fab.Coordinator(hb)
+	if err != nil || (fo == nil && !proc) {
+		return nil, err
 	}
-	return c.WrapPipes
+	b := &job.Backend{Workers: workers, Fabric: fo, Registry: tel.Registry(), Tracer: tel.Tracer(), Log: job.Logger(tool)}
+	if fo == nil {
+		cfg, err := fab.ChaosConfig()
+		if err != nil {
+			return nil, err
+		}
+		b.Proc = hb.ProcOptions()
+		b.Proc.WrapPipes = job.PipeWrap(job.StorageChaos(cfg, tel.Registry()))
+	}
+	return b, nil
 }
 
 // ParseIsolation parses the -isolation flag shared by the CLIs, reporting

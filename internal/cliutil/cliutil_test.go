@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/job"
 )
 
 func TestValidateWorkers(t *testing.T) {
@@ -150,8 +152,8 @@ func TestFabricValidate(t *testing.T) {
 	if cfg, err := f.ChaosConfig(); err != nil || cfg != nil {
 		t.Errorf("empty spec ChaosConfig() = %+v, %v, want nil, nil", cfg, err)
 	}
-	if wrap, err := f.ChaosWrap(nil); err != nil || wrap != nil {
-		t.Errorf("empty spec ChaosWrap(): wrap non-nil=%v err=%v, want nil, nil", wrap != nil, err)
+	if cfg, err := f.ChaosConfig(); err != nil || job.ConnWrap(cfg, nil) != nil {
+		t.Errorf("empty spec ConnWrap(): wrap non-nil or err=%v, want nil, nil", err)
 	}
 }
 
@@ -165,6 +167,39 @@ func TestParseIsolation(t *testing.T) {
 	for _, s := range []string{"", "process", "PROC", "subprocess"} {
 		if _, err := ParseIsolation(s); err == nil {
 			t.Errorf("ParseIsolation(%q) accepted", s)
+		}
+	}
+}
+
+// TestBackendSelection: the flags pick no backend (in-process), a worker
+// pool tuned by the heartbeat flags with pipe chaos from -chaos, or a
+// fabric coordinator; executors get local worker pools only under
+// -isolation=proc.
+func TestBackendSelection(t *testing.T) {
+	hb := &HeartbeatFlags{Interval: time.Second, Timeout: 5 * time.Second}
+	fab := &FabricFlags{Hosts: 2, Chaos: "seed=3,pipe.corrupt=0.01"}
+	if b, err := Backend("t", 2, false, hb, fab, nil); err != nil || b != nil {
+		t.Errorf("inproc: backend %+v, err %v; want none", b, err)
+	}
+	b, err := Backend("t", 2, true, hb, fab, nil)
+	if err != nil || b == nil || b.Fabric != nil || b.Workers != 2 {
+		t.Fatalf("proc: backend %+v, err %v", b, err)
+	}
+	if b.Proc.HeartbeatInterval != hb.Interval || b.Proc.HeartbeatTimeout != hb.Timeout || b.Proc.WrapPipes == nil {
+		t.Errorf("proc options %+v: want the heartbeat flags and a pipe-chaos wrapper", b.Proc)
+	}
+	fab.Listen = "127.0.0.1:0"
+	b, err = Backend("t", 2, true, hb, fab, nil)
+	if err != nil || b == nil || b.Fabric == nil || b.Proc != nil {
+		t.Fatalf("fabric: backend %+v, err %v", b, err)
+	}
+	if fo := b.Fabric; fo.Listen != fab.Listen || fo.MinHosts != 2 || fo.HeartbeatTimeout != hb.Timeout || fo.Chaos == nil || fo.Chaos.Seed != 3 {
+		t.Errorf("coordinator options %+v", fo)
+	}
+	for _, proc := range []bool{false, true} {
+		jo, err := fab.JoinOptions("t", 3, proc, hb, nil)
+		if err != nil || jo.Workers != 3 || (jo.Isolation == job.IsolationProc) != proc || (jo.Proc != nil) != proc {
+			t.Errorf("JoinOptions(proc=%v) = %+v, %v", proc, jo, err)
 		}
 	}
 }

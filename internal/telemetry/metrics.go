@@ -456,6 +456,7 @@ type GoldenMetrics struct {
 // WorkerMetrics is the instrument bundle the worker supervisor accepts.
 // A nil *WorkerMetrics (the Options default) disables all of it.
 type WorkerMetrics struct {
+	Spawns          *Counter   // worker subprocesses started
 	Restarts        *Counter   // abnormal worker deaths (spawn failures included)
 	Redeliveries    *Counter   // units redelivered after killing a worker
 	Quarantines     *Counter   // units quarantined after exhausting deliveries
@@ -475,6 +476,7 @@ func NewWorkerMetrics(reg *Registry) *WorkerMetrics {
 		return nil
 	}
 	return &WorkerMetrics{
+		Spawns:          reg.Counter("worker_spawns_total"),
 		Restarts:        reg.Counter("worker_restarts_total"),
 		Redeliveries:    reg.Counter("worker_redeliveries_total"),
 		Quarantines:     reg.Counter("worker_quarantines_total"),

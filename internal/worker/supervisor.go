@@ -558,6 +558,9 @@ func spawn(opts *Options) (*liveWorker, error) {
 		stdin.Close()
 		return nil, err
 	}
+	if opts.Metrics != nil {
+		opts.Metrics.Spawns.Inc()
+	}
 	var in io.WriteCloser = stdin
 	var out io.Reader = stdout
 	if opts.WrapPipes != nil {
