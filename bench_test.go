@@ -74,6 +74,9 @@ func scaledCases(paper int) int {
 	return n
 }
 
+// table4Progs are the eight Table 4 programs, in the paper's order.
+var table4Progs = []string{"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR"}
+
 // campaignCfg builds a §6 campaign configuration for the given programs at
 // bench scale.
 func campaignCfg(classes []fault.Class, progs ...string) campaign.Config {
@@ -155,8 +158,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkTable4Parallel(b *testing.B) {
 	run := func(b *testing.B, workers int, noFFwd bool) {
 		b.ReportAllocs()
-		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-			"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
+		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking}, table4Progs...)
 		cfg.Workers = workers
 		cfg.NoFastForward = noFFwd
 		for i := 0; i < b.N; i++ {
@@ -188,8 +190,7 @@ func BenchmarkTable4Parallel(b *testing.B) {
 func BenchmarkTable4ProcIsolation(b *testing.B) {
 	run := func(b *testing.B, proc bool) {
 		b.ReportAllocs()
-		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-			"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
+		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking}, table4Progs...)
 		cfg.Workers = 4
 		if proc {
 			cfg.Isolation = campaign.IsolationProc
@@ -227,6 +228,62 @@ func benchLoopbackAddr(b *testing.B) string {
 	return addr
 }
 
+// joinLoopback joins one bench executor to the coordinator at addr. The
+// coordinator binds only after planning, so it retries until the join
+// succeeds or ctx ends.
+func joinLoopback(ctx context.Context, addr string, opts campaign.JoinOptions) {
+	for ctx.Err() == nil {
+		if campaign.JoinFabric(ctx, addr, opts) == nil {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// muteStderr points os.Stderr at the null device until the benchmark
+// function returns. `go test` interleaves stderr into the benchmark output,
+// tearing a result line away from its numbers, so benchmarks whose code
+// under test logs mid-iteration call it to keep the artifact parseable.
+func muteStderr(b *testing.B) {
+	b.Helper()
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	old := os.Stderr
+	os.Stderr = null
+	b.Cleanup(func() {
+		os.Stderr = old
+		null.Close()
+	})
+}
+
+// abbaRatio times two near-identical legs against each other and returns
+// the total time of test over the total time of base. Timing them as
+// separate sub-benchmarks would measure machine drift, not the difference,
+// so each iteration runs four mirrored ABBA blocks (base test test base,
+// then test base base test): consecutive blocks flip polarity, so no
+// position in the run systematically favors either side.
+func abbaRatio(b *testing.B, base, test func() time.Duration) float64 {
+	var tBase, tTest time.Duration
+	for i := 0; i < b.N; i++ {
+		for blk := 0; blk < 4; blk++ {
+			if blk%2 == 0 {
+				tBase += base()
+				tTest += test()
+				tTest += test()
+				tBase += base()
+			} else {
+				tTest += test()
+				tBase += base()
+				tBase += base()
+				tTest += test()
+			}
+		}
+	}
+	return float64(tTest) / float64(tBase)
+}
+
 // BenchmarkTable4Fabric runs the Table 4 campaign through the distributed
 // fabric with 1, 2 and 4 loopback executors. Every executor is paced to a
 // fixed per-unit service time (fabricUnitPace), because all executors here
@@ -239,26 +296,11 @@ func benchLoopbackAddr(b *testing.B) string {
 // labels in BENCH_<tag>.json from the executors=1/2 ratio.
 func BenchmarkTable4Fabric(b *testing.B) {
 	const fabricUnitPace = 60 * time.Millisecond
-	cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-		"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
+	cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking}, table4Progs...)
 	// Warm the process-wide stores (workloads, calibration, goldens) once so
 	// no sub-benchmark pays the one-time cost for the others.
 	if _, err := campaign.Run(cfg); err != nil {
 		b.Fatal(err)
-	}
-	join := func(ctx context.Context, addr, name string) {
-		// The coordinator binds only after planning; retry until it is up.
-		for ctx.Err() == nil {
-			err := campaign.JoinFabric(ctx, addr, campaign.JoinOptions{
-				Name:     name,
-				Workers:  1,
-				UnitPace: fabricUnitPace,
-			})
-			if err == nil {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
 	}
 	for _, hosts := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("executors=%d", hosts), func(b *testing.B) {
@@ -271,7 +313,11 @@ func BenchmarkTable4Fabric(b *testing.B) {
 					wg.Add(1)
 					go func(name string) {
 						defer wg.Done()
-						join(ctx, addr, name)
+						joinLoopback(ctx, addr, campaign.JoinOptions{
+							Name:     name,
+							Workers:  1,
+							UnitPace: fabricUnitPace,
+						})
 					}(fmt.Sprintf("bench-exec-%d", h))
 				}
 				fcfg := cfg
@@ -308,8 +354,7 @@ func BenchmarkTable4Fabric(b *testing.B) {
 // absent: poisoned records would linger in the process-wide golden store
 // and contaminate every benchmark that runs after this one.
 func BenchmarkTable4DiskChaos(b *testing.B) {
-	base := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-		"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
+	base := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking}, table4Progs...)
 	base.Workers = 4
 	// Warm the process-wide stores once so no sub-benchmark pays the
 	// one-time cost for the others.
@@ -351,57 +396,26 @@ func BenchmarkTable4DiskChaos(b *testing.B) {
 		// checks, which a two-program campaign exercises exactly as the
 		// headline legs do — and short legs let many alternating blocks
 		// average away this machine's large, non-linear throughput noise.
-		// Each block times the legs in mirrored ABBA order and consecutive
-		// blocks flip polarity, so no position in the run systematically
-		// favors either side.
 		small := campaignCfg([]fault.Class{fault.ClassAssignment}, "C.team1", "SOR")
 		small.Workers = 4
 		if _, err := campaign.Run(small); err != nil { // warm small golden runs
 			b.Fatal(err)
 		}
 		dir := b.TempDir()
-		var off, disabled time.Duration
 		leg := 0
-		offLeg := func() {
-			off += once(b, small, nil, filepath.Join(dir, fmt.Sprintf("off-%d.wal", leg)))
+		ratio := abbaRatio(b, func() time.Duration {
 			leg++
-		}
-		disabledLeg := func() {
-			disabled += once(b, small, chaos.New(chaos.Config{Seed: 11}, nil),
+			return once(b, small, nil, filepath.Join(dir, fmt.Sprintf("off-%d.wal", leg)))
+		}, func() time.Duration {
+			leg++
+			return once(b, small, chaos.New(chaos.Config{Seed: 11}, nil),
 				filepath.Join(dir, fmt.Sprintf("disabled-%d.wal", leg)))
-			leg++
-		}
-		for i := 0; i < b.N; i++ {
-			for blk := 0; blk < 4; blk++ {
-				if blk%2 == 0 {
-					offLeg()
-					disabledLeg()
-					disabledLeg()
-					offLeg()
-				} else {
-					disabledLeg()
-					offLeg()
-					offLeg()
-					disabledLeg()
-				}
-			}
-		}
-		b.ReportMetric(float64(disabled)/float64(off), "overhead-ratio")
+		})
+		b.ReportMetric(ratio, "overhead-ratio")
 	})
 	b.Run("chaos", func(b *testing.B) {
-		// The degraded-journal warnings print to stderr mid-iteration and
-		// `go test` interleaves them into the benchmark output, tearing the
-		// result line away from its numbers; silence them for the artifact.
-		null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		old := os.Stderr
-		os.Stderr = null
-		defer func() {
-			os.Stderr = old
-			null.Close()
-		}()
+		// The degraded-journal warnings print to stderr mid-iteration.
+		muteStderr(b)
 		run(b, chaos.New(chaos.Config{
 			Seed:           11,
 			DiskENOSPC:     0.01,
@@ -420,10 +434,8 @@ func BenchmarkTable4DiskChaos(b *testing.B) {
 // produce bit-identical campaign Results (the federation plane never
 // touches the verdict path), so the paired wall-clock ratio is the whole
 // cost of the plane — frame encode, CRC, loopback write, coordinator
-// ingest. Legs are timed in mirrored ABBA blocks with alternating polarity,
-// exactly as BenchmarkTable4DiskChaos does, because the two legs are
-// near-identical code and separate sub-benchmarks would measure machine
-// drift instead. scripts/bench.sh turns the reported overhead-ratio into
+// ingest. The two legs are near-identical code, so abbaRatio pairs them as
+// in BenchmarkTable4DiskChaos. scripts/bench.sh turns the reported overhead-ratio into
 // the federation_disabled_overhead label in BENCH_<tag>.json; DESIGN.md
 // §5k budgets it at ≤2%. The 20ms heartbeat with a matching
 // FederationInterval is deliberately aggressive — ~50x the default 1s push
@@ -434,20 +446,8 @@ func BenchmarkTable4Federation(b *testing.B) {
 	if _, err := campaign.Run(cfg); err != nil {
 		b.Fatal(err)
 	}
-	// The coordinator announces executor attach on stderr every leg, and
-	// `go test` interleaves stderr into the benchmark output, tearing the
-	// result line away from its numbers (the Table4DiskChaos/chaos problem);
-	// silence it for the artifact.
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	old := os.Stderr
-	os.Stderr = null
-	defer func() {
-		os.Stderr = old
-		null.Close()
-	}()
+	// The coordinator announces executor attach on stderr every leg.
+	muteStderr(b)
 	once := func(b *testing.B, noFed bool) time.Duration {
 		addr := benchLoopbackAddr(b)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -456,19 +456,12 @@ func BenchmarkTable4Federation(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The coordinator binds only after planning; retry until it is up.
-			for ctx.Err() == nil {
-				err := campaign.JoinFabric(ctx, addr, campaign.JoinOptions{
-					Name:               "bench-fed",
-					Workers:            1,
-					NoFederation:       noFed,
-					FederationInterval: 20 * time.Millisecond,
-				})
-				if err == nil {
-					return
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
+			joinLoopback(ctx, addr, campaign.JoinOptions{
+				Name:               "bench-fed",
+				Workers:            1,
+				NoFederation:       noFed,
+				FederationInterval: 20 * time.Millisecond,
+			})
 		}()
 		fcfg := cfg
 		fcfg.Fabric = &campaign.FabricOptions{
@@ -489,23 +482,10 @@ func BenchmarkTable4Federation(b *testing.B) {
 		return elapsed
 	}
 	b.ReportAllocs()
-	var on, off time.Duration
-	for i := 0; i < b.N; i++ {
-		for blk := 0; blk < 4; blk++ {
-			if blk%2 == 0 {
-				on += once(b, false)
-				off += once(b, true)
-				off += once(b, true)
-				on += once(b, false)
-			} else {
-				off += once(b, true)
-				on += once(b, false)
-				on += once(b, false)
-				off += once(b, true)
-			}
-		}
-	}
-	b.ReportMetric(float64(on)/float64(off), "overhead-ratio")
+	ratio := abbaRatio(b,
+		func() time.Duration { return once(b, true) },
+		func() time.Duration { return once(b, false) })
+	b.ReportMetric(ratio, "overhead-ratio")
 }
 
 // BenchmarkTable4Telemetry prices the observability layer on the Table 4
@@ -519,8 +499,7 @@ func BenchmarkTable4Federation(b *testing.B) {
 func BenchmarkTable4Telemetry(b *testing.B) {
 	run := func(b *testing.B, tel func() *telemetry.Telemetry) {
 		b.ReportAllocs()
-		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking},
-			"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
+		cfg := campaignCfg([]fault.Class{fault.ClassAssignment, fault.ClassChecking}, table4Progs...)
 		cfg.Workers = 4
 		for i := 0; i < b.N; i++ {
 			cfg.Telemetry = tel()
@@ -575,14 +554,12 @@ func benchCampaign(b *testing.B, class fault.Class, progs ...string) {
 // Figure 7 (failure modes per program) on the Camelot programs plus the
 // JamesB pair.
 func BenchmarkFigure7(b *testing.B) {
-	benchCampaign(b, fault.ClassAssignment,
-		"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
+	benchCampaign(b, fault.ClassAssignment, table4Progs...)
 }
 
 // BenchmarkFigure8 regenerates the checking-fault campaign behind Figure 8.
 func BenchmarkFigure8(b *testing.B) {
-	benchCampaign(b, fault.ClassChecking,
-		"C.team1", "C.team2", "C.team8", "C.team9", "C.team10", "JB.team6", "JB.team11", "SOR")
+	benchCampaign(b, fault.ClassChecking, table4Progs...)
 }
 
 // BenchmarkFigure9 regenerates the per-error-type assignment breakdown of

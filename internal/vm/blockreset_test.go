@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/programs"
@@ -52,64 +53,70 @@ func runOnce(t *testing.T, img vm.Image, ints []int32, bts []byte) *vm.Machine {
 // TestResetPreciseRedecode: planting decoded corruptions and writing words
 // into writable text, then Resetting, must restore fresh-machine behavior
 // without a single full decode rebuild — the modification list is precise.
+// The corrupted entry must raise ExcIllegal at its own PC on both engines.
 func TestResetPreciseRedecode(t *testing.T) {
 	img, ints, bts := loadTable4(t)
 	want := snapshot(runOnce(t, img, ints, bts))
 
-	m := vm.New(vm.Config{})
-	if err := m.Load(img); err != nil {
-		t.Fatal(err)
-	}
-	base, end := m.TextRange()
-	if (end-base)/4 < 48 {
-		t.Fatalf("test program too small: %d text words", (end-base)/4)
-	}
+	for _, interpOnly := range []bool{false, true} {
+		t.Run(fmt.Sprintf("interpOnly=%v", interpOnly), func(t *testing.T) {
+			m := vm.New(vm.Config{})
+			m.SetInterpOnly(interpOnly)
+			if err := m.Load(img); err != nil {
+				t.Fatal(err)
+			}
+			base, end := m.TextRange()
+			if (end-base)/4 < 48 {
+				t.Fatalf("test program too small: %d text words", (end-base)/4)
+			}
 
-	// A clean Reset after a plain run must not rebuild anything.
-	m.SetInput(ints)
-	m.SetByteInput(bts)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.DecodeRebuilds(); n != 0 {
-		t.Fatalf("clean Reset caused %d full decode rebuilds, want 0", n)
-	}
+			// A clean Reset after a plain run must not rebuild anything.
+			m.SetInput(ints)
+			m.SetByteInput(bts)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if n := m.DecodeRebuilds(); n != 0 {
+				t.Fatalf("clean Reset caused %d full decode rebuilds, want 0", n)
+			}
 
-	// Corrupt a handful of words through both mutation paths, run the
-	// corrupted machine (it may crash — irrelevant here), then Reset.
-	if err := m.PlantDecoded(base, 0); err != nil { // OpIllegal at the entry
-		t.Fatal(err)
-	}
-	if err := m.PlantDecoded(base+8, 0xffffffff); err != nil {
-		t.Fatal(err)
-	}
-	m.SetTextWritable(true)
-	if err := m.WriteWord(base+16, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if exc, at := m.Exception(); exc != vm.ExcIllegal || at != base {
-		t.Fatalf("corrupted entry: exception %v at %#x, want ExcIllegal at %#x", exc, at, base)
-	}
+			// Corrupt a handful of words through both mutation paths, run the
+			// corrupted machine (it may crash — irrelevant here), then Reset.
+			if err := m.PlantDecoded(base, 0); err != nil { // OpIllegal at the entry
+				t.Fatal(err)
+			}
+			if err := m.PlantDecoded(base+8, 0xffffffff); err != nil {
+				t.Fatal(err)
+			}
+			m.SetTextWritable(true)
+			if err := m.WriteWord(base+16, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if exc, at := m.Exception(); exc != vm.ExcIllegal || at != base {
+				t.Fatalf("corrupted entry: exception %v at %#x, want ExcIllegal at %#x", exc, at, base)
+			}
 
-	if err := m.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.DecodeRebuilds(); n != 0 {
-		t.Fatalf("Reset after 3 text mods caused %d full rebuilds, want 0 (precise re-decode)", n)
-	}
-	m.SetInput(ints)
-	m.SetByteInput(bts)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshot(m); !got.equal(want) {
-		t.Fatalf("run after precise re-decode diverges from fresh machine:\nfresh: %+v\nreset: %+v", want, got)
+			if err := m.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if n := m.DecodeRebuilds(); n != 0 {
+				t.Fatalf("Reset after 3 text mods caused %d full rebuilds, want 0 (precise re-decode)", n)
+			}
+			m.SetInput(ints)
+			m.SetByteInput(bts)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := snapshot(m); !got.equal(want) {
+				t.Fatalf("run after precise re-decode diverges from fresh machine:\nfresh: %+v\nreset: %+v", want, got)
+			}
+		})
 	}
 }
 

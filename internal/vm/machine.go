@@ -173,8 +173,8 @@ type Machine struct {
 	// watchdog budget. The watchdog expiring classifies the *target* as hung;
 	// the quota expiring means the *host* mis-set or lost the watchdog, so
 	// Run reports ErrCycleQuota instead of a target state. runLimit caches
-	// min(maxCycles, cycleQuota) so the hot loop keeps its single compare;
-	// quotaHit carries the quota verdict from the step path out to Run.
+	// min(maxCycles, cycleQuota) so step and the block dispatcher keep a
+	// single compare; quotaHit carries the quota verdict out to Run.
 	cycleQuota uint64
 	runLimit   uint64
 	quotaHit   bool
@@ -198,13 +198,10 @@ type Machine struct {
 	trace *traceRing
 
 	// decoded caches the decoded form of every text word so the fetch path
-	// does not re-decode on each cycle; decodedOK marks valid entries. The
-	// cache is refreshed by Load and by WriteWord into text. Invariant:
-	// an entry with decodedOK false is the zero Inst, so its OpIllegal
-	// opcode raises ExcIllegal in execute — letting the fast loop skip the
-	// decodedOK load entirely.
-	decoded   []Inst
-	decodedOK []bool
+	// does not re-decode on each cycle. The cache is refreshed by Load and
+	// by WriteWord into text. Invariant: an undecodable word's entry is the
+	// zero Inst, so its OpIllegal opcode raises ExcIllegal in execute.
+	decoded []Inst
 
 	// textWritable permits stores into the text segment. The injector sets
 	// it while planting persistent instruction-memory corruptions or trap
@@ -213,22 +210,14 @@ type Machine struct {
 	// read-only).
 	textWritable bool
 
-	// hot caches "no per-step observer is armed": no watchpoints, no trace
-	// ring, no fetch hook, no live breakpoint hook. Run uses it to pick the
-	// fused fast loop over the general step; every setter that arms or
-	// clears one of those observers refreshes it via updateHot. Load/store/
-	// trap hooks are irrelevant — they cost nothing on the fetch path.
-	hot bool
-
 	// Block compilation (block.go/compile.go). blocks caches one compiled
 	// basic block per text-word entry index (nil = not yet compiled);
-	// blockOK caches block-dispatch eligibility the way hot does for the
-	// fast loop. It additionally tolerates watchpoints, which the block
-	// dispatcher proves absent per block, and live breakpoints, which the
-	// compiler cuts blocks at (see iabrLive); only a fetch hook or a trace
-	// ring rules blocks out. interpOnly is the -interp-only A/B switch
-	// forcing the per-instruction paths, persistent across Load/Reset/
-	// Restore like the watchdog budget.
+	// blockOK caches block-dispatch eligibility, and every setter that arms
+	// or clears a fetch hook or trace ring refreshes it via updateBlockOK.
+	// Watchpoints, which the block dispatcher proves absent per block, and
+	// live breakpoints, which the compiler cuts blocks at (see iabrLive),
+	// leave it set. interpOnly is the -interp-only A/B switch forcing step,
+	// persistent across Load/Reset/Restore like the watchdog budget.
 	blocks     []*block
 	blockOK    bool
 	interpOnly bool
@@ -391,43 +380,45 @@ func (m *Machine) Load(img Image) error {
 	}
 	copy(m.mem[dataStart:], img.Data)
 	m.dataBase = dataStart
-	m.brk = dataStart + uint32(len(img.Data))
-	// Align the break.
-	m.brk = (m.brk + WordSize - 1) &^ (WordSize - 1)
-
-	memTop := uint32(len(m.mem))
-	m.stackLim = m.brk + (memTop-m.brk)/2 // lower half above brk is heap room
-	m.regs = [32]uint32{}
-	m.regs[RegSP] = memTop - 16
-	m.regs[RegFP] = memTop - 16
+	m.img = img
+	m.boot()
 	m.decoded = make([]Inst, len(img.Text))
-	m.decodedOK = make([]bool, len(img.Text))
 	for i, w := range img.Text {
-		if in, err := Decode(w); err == nil {
-			m.decoded[i] = in
-			m.decodedOK[i] = true
-		}
+		m.setDecoded(uint32(i), w)
 	}
 	m.blocks = make([]*block, len(img.Text))
 	m.textMods = m.textMods[:0]
 	m.textModsOvf = false
-	m.pc = img.Entry
-	m.lr = 0
-	m.cr = [8]crField{}
-	m.state = StateReady
-	m.exc = ExcNone
-	m.cycles = 0
-	m.exitStatus = 0
-	m.inPos, m.inBPos = 0, 0
-	m.output = m.output[:0]
-	m.img = img
 	m.textDirty = false
 	// Memory now equals the pristine image by construction.
 	clear(m.pageFlags)
 	m.dirtyPages = m.dirtyPages[:0]
 	m.prevSnap = nil
 	m.clearWatch()
+	m.updateBlockOK()
 	return nil
+}
+
+// boot sets the registers, counters and I/O cursors to their post-Load
+// state for the loaded image: Load and Reset share it.
+func (m *Machine) boot() {
+	m.brk = (m.dataBase + uint32(len(m.img.Data)) + WordSize - 1) &^ (WordSize - 1)
+	memTop := uint32(len(m.mem))
+	m.stackLim = m.brk + (memTop-m.brk)/2 // lower half above brk is heap room
+	m.regs = [32]uint32{}
+	m.regs[RegSP] = memTop - 16
+	m.regs[RegFP] = memTop - 16
+	m.pc = m.img.Entry
+	m.lr = 0
+	m.cr = [8]crField{}
+	m.state = StateReady
+	m.exc = ExcNone
+	m.excAt = 0
+	m.cycles = 0
+	m.quotaHit = false
+	m.exitStatus = 0
+	m.inPos, m.inBPos = 0, 0
+	m.output = m.output[:0]
 }
 
 // markPage flags one page dirty since boot and since the last snapshot,
@@ -481,13 +472,11 @@ func (m *Machine) refreshPage(pi uint32) {
 // setDecoded installs the decoding of word w at decoded-cache index i,
 // preserving the invariant that undecodable entries are the zero Inst.
 func (m *Machine) setDecoded(i, w uint32) {
-	if in, err := Decode(w); err == nil {
-		m.decoded[i] = in
-		m.decodedOK[i] = true
-	} else {
-		m.decoded[i] = Inst{}
-		m.decodedOK[i] = false
+	in, err := Decode(w)
+	if err != nil {
+		in = Inst{}
 	}
+	m.decoded[i] = in
 }
 
 // maxTextMods caps the precise text-modification list. Campaigns plant one
@@ -561,31 +550,19 @@ func (m *Machine) Reset() error {
 	}
 	m.dirtyPages = m.dirtyPages[:0]
 	m.prevSnap = nil
-	m.brk = m.dataBase + uint32(len(m.img.Data))
-	m.brk = (m.brk + WordSize - 1) &^ (WordSize - 1)
-
-	memTop := uint32(len(m.mem))
-	m.stackLim = m.brk + (memTop-m.brk)/2
-	m.regs = [32]uint32{}
-	m.regs[RegSP] = memTop - 16
-	m.regs[RegFP] = memTop - 16
 	if m.textDirty {
 		m.redecodeFromImage()
 	}
-	m.pc = m.img.Entry
-	m.lr = 0
-	m.cr = [8]crField{}
-	m.state = StateReady
-	m.exc = ExcNone
-	m.excAt = 0
-	m.cycles = 0
-	m.quotaHit = false
-	m.exitStatus = 0
+	m.boot()
 	m.input = m.input[:0]
 	m.inBytes = m.inBytes[:0]
-	m.inPos, m.inBPos = 0, 0
-	m.output = m.output[:0]
+	m.dropHooks()
+	return nil
+}
 
+// dropHooks disarms every hook, breakpoint, watchpoint and the trace ring,
+// and write-protects text again, as Reset and Restore do.
+func (m *Machine) dropHooks() {
 	m.clearIABRs()
 	m.fetchHook = nil
 	m.loadHook = nil
@@ -594,7 +571,7 @@ func (m *Machine) Reset() error {
 	m.trace = nil
 	m.textWritable = false
 	m.clearWatch()
-	return nil
+	m.updateBlockOK()
 }
 
 // SetMaxCycles replaces the watchdog budget (0 restores the default). The
@@ -715,7 +692,6 @@ func (m *Machine) SetIABR(i int, addr uint32) error {
 	m.iabr[i] = addr
 	m.iabrSet[i] = true
 	m.iabrAny = true
-	m.updateHot()
 	return nil
 }
 
@@ -733,7 +709,6 @@ func (m *Machine) ClearIABR(i int) {
 			m.iabrAny = true
 		}
 	}
-	m.updateHot()
 }
 
 // SetIABRHook installs the callback run on IABR hits. Installing a hook
@@ -744,7 +719,6 @@ func (m *Machine) SetIABRHook(h IABRHook) {
 		m.invalidateIABRs()
 	}
 	m.iabrHook = h
-	m.updateHot()
 }
 
 // iabrLive reports whether text word idx carries a live breakpoint: an armed
@@ -803,28 +777,25 @@ func (m *Machine) clearIABRs() {
 }
 
 // SetFetchHook installs the instruction-bus corruption hook.
-func (m *Machine) SetFetchHook(h FetchHook) { m.fetchHook = h; m.updateHot() }
+func (m *Machine) SetFetchHook(h FetchHook) { m.fetchHook = h; m.updateBlockOK() }
 
-// updateHot refreshes the fast-loop and block-dispatch eligibility caches;
-// see the hot and blockOK fields. The fast loop needs every per-step
-// observer absent. blockOK tolerates watchpoints — the block dispatcher
-// proves per block that none can fire inside it and falls back to step
-// otherwise — and live breakpoints, which the compiler isolates in
-// interpreted blocks; it still needs no fetch hook and no trace ring.
-func (m *Machine) updateHot() {
-	m.hot = !m.watchAny && m.trace == nil && m.fetchHook == nil &&
-		!(m.iabrAny && m.iabrHook != nil)
+// updateBlockOK refreshes the block-dispatch eligibility cache (the blockOK
+// field). Blocks tolerate watchpoints — the block dispatcher proves per
+// block that none can fire inside it and falls back to step otherwise — and
+// live breakpoints, which the compiler isolates in interpreted blocks; they
+// need no fetch hook and no trace ring.
+func (m *Machine) updateBlockOK() {
 	m.blockOK = !m.interpOnly && m.blocks != nil && m.trace == nil &&
 		m.fetchHook == nil
 }
 
-// SetInterpOnly forces the per-instruction interpreter paths, disabling
+// SetInterpOnly forces the per-instruction interpreter (step), disabling
 // compiled-block dispatch: the -interp-only A/B switch used to validate that
 // both engines produce bit-identical runs. Unlike hooks it survives Load,
 // Reset and Restore, like the watchdog budget.
 func (m *Machine) SetInterpOnly(v bool) {
 	m.interpOnly = v
-	m.updateHot()
+	m.updateBlockOK()
 }
 
 // SetLoadHook installs the data-load corruption hook.
@@ -990,112 +961,15 @@ func (m *Machine) Run() (State, error) {
 		return m.state, fmt.Errorf("vm: machine not ready (state %s)", m.state)
 	}
 	m.state = StateRunning
-	// Hot-loop invariants: the text geometry and the decoded cache's
-	// backing array are fixed for the lifetime of a run — only Load
-	// replaces them, and hooks must never re-Load a running machine.
-	// Hoisting them saves their reload on every instruction (the compiler
-	// cannot prove the execute call leaves them alone). In-place cache
-	// updates (WriteWord, PlantDecoded from a trap hook) still land in the
-	// hoisted slice's backing array.
-	decoded := m.decoded
-	textBase := m.textBase
+	// Compiled-block dispatch returns when the run ends or when eligibility
+	// flips (a trap hook arming an observer mid-run), so the loop re-checks
+	// and falls through to step, the per-instruction reference.
 	for m.state == StateRunning {
-		// Compiled-block dispatch outranks both interpreter loops; it
-		// returns when the run ends or when eligibility flips (a trap hook
-		// arming an observer mid-run), so the loop re-checks and falls
-		// through to the per-instruction paths.
 		if m.blockOK {
 			m.runBlocks()
 			continue
 		}
-		// The fast loop is the general step with every absent-observer
-		// check hoisted out. hot is re-read each iteration because a trap
-		// hook (which execute can invoke) may arm an observer mid-run.
-		if !m.hot {
-			m.step()
-			continue
-		}
-		if m.cycles >= m.runLimit {
-			m.limitExpire()
-			break
-		}
-		m.cycles++
-		pc := m.pc
-		if pc&(WordSize-1) != 0 {
-			m.raise(ExcAlign, pc)
-			break
-		}
-		idx := (pc - textBase) / WordSize
-		if idx >= uint32(len(decoded)) {
-			m.raise(ExcProt, pc)
-			break
-		}
-		// No decodedOK check: undecodable entries are kept as the zero
-		// Inst, whose OpIllegal raises ExcIllegal at pc inside execute —
-		// the same exception the check would produce.
-		//
-		// The most frequent opcodes are executed inline to spare the call
-		// into execute's full switch; each case replicates its execute
-		// counterpart exactly (the straight-vs-checkpointed equivalence
-		// tests compare the two paths instruction stream for instruction
-		// stream). The stack-overflow check runs only on writes to SP
-		// here: with no observer hooks armed, SP cannot move any other
-		// way — ops that can reach a hook (loads, stores, sc, trap) and
-		// all rarer ops take the execute path with its unconditional
-		// check.
-		in := decoded[idx]
-		switch in.Op {
-		case OpAddi:
-			m.regs[in.RD&31] = m.regs[in.RA&31] + uint32(in.Imm)
-			m.regs[0] = 0
-			if in.RD == RegSP && m.regs[RegSP] < m.stackLim && m.regs[RegSP] != 0 {
-				m.raise(ExcStackOvf, pc)
-				break
-			}
-			m.pc = pc + WordSize
-		case OpAdd:
-			m.regs[in.RD&31] = m.regs[in.RA&31] + m.regs[in.RB&31]
-			m.regs[0] = 0
-			if in.RD == RegSP && m.regs[RegSP] < m.stackLim && m.regs[RegSP] != 0 {
-				m.raise(ExcStackOvf, pc)
-				break
-			}
-			m.pc = pc + WordSize
-		case OpCmpwi:
-			m.cr[(in.RD>>2)&7] = compare(int32(m.regs[in.RA&31]), in.Imm)
-			m.pc = pc + WordSize
-		case OpCmpw:
-			m.cr[(in.RD>>2)&7] = compare(int32(m.regs[in.RA&31]), int32(m.regs[in.RB&31]))
-			m.pc = pc + WordSize
-		case OpBc:
-			if m.cr[in.RA&7].holds(Cond(in.RD)) {
-				m.pc = pc + uint32(in.Imm)
-			} else {
-				m.pc = pc + WordSize
-			}
-		case OpB:
-			m.pc = pc + uint32(in.Off26)
-		case OpBl:
-			m.lr = pc + WordSize
-			m.pc = pc + uint32(in.Off26)
-		case OpBlr:
-			m.pc = m.lr
-		case OpMflr:
-			m.regs[in.RD&31] = m.lr
-			m.regs[0] = 0
-			if in.RD == RegSP && m.regs[RegSP] < m.stackLim && m.regs[RegSP] != 0 {
-				m.raise(ExcStackOvf, pc)
-				break
-			}
-			m.pc = pc + WordSize
-		case OpMtlr:
-			m.lr = m.regs[in.RD&31]
-			m.pc = pc + WordSize
-		case OpNop:
-			m.pc = pc + WordSize
-		default:
-			m.execute(pc, in)
-		}
+		m.step()
 	}
 	if m.quotaHit {
 		m.quotaHit = false
@@ -1159,10 +1033,8 @@ func (m *Machine) step() {
 			return
 		}
 	}
-	if !m.decodedOK[idx] {
-		m.raise(ExcIllegal, pc)
-		return
-	}
+	// An undecodable word is cached as the zero Inst, whose OpIllegal makes
+	// execute raise ExcIllegal at pc.
 	m.execute(pc, m.decoded[idx])
 }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -275,21 +276,40 @@ func TestExceptions(t *testing.T) {
 	}
 }
 
+// TestIllegalInstructionCrash: an undecodable word, or the all-zero word
+// (OpIllegal), raises ExcIllegal at its own PC on both engines — step relies
+// on the decoded cache holding the zero Inst for such words.
 func TestIllegalInstructionCrash(t *testing.T) {
-	m := New(Config{})
-	img := buildImage(exitSeq())
-	img.Text[0] = 0xffffffff // undecodable
-	if err := m.Load(img); err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name string
+		idx  int
+		word uint32
+	}{
+		{"undecodable entry", 0, 0xffffffff},
+		{"zero word", 1, 0},
 	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.State() != StateCrashed {
-		t.Fatalf("state = %v, want crashed", m.State())
-	}
-	if exc, at := m.Exception(); exc != ExcIllegal || at != TextBase {
-		t.Errorf("exception = %v at %#x, want illegal at %#x", exc, at, TextBase)
+	for _, tt := range tests {
+		for _, interpOnly := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/interpOnly=%v", tt.name, interpOnly), func(t *testing.T) {
+				m := New(Config{})
+				m.SetInterpOnly(interpOnly)
+				img := buildImage(append([]Inst{{Op: OpNop}}, exitSeq()...))
+				img.Text[tt.idx] = tt.word
+				if err := m.Load(img); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if m.State() != StateCrashed {
+					t.Fatalf("state = %v, want crashed", m.State())
+				}
+				want := TextBase + uint32(tt.idx)*WordSize
+				if exc, at := m.Exception(); exc != ExcIllegal || at != want {
+					t.Errorf("exception = %v at %#x, want illegal at %#x", exc, at, want)
+				}
+			})
+		}
 	}
 }
 

@@ -298,14 +298,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.textMods = append(m.textMods[:0], s.textMods...)
 	m.textModsOvf = s.textModsOvf
 
-	m.clearIABRs()
-	m.fetchHook = nil
-	m.loadHook = nil
-	m.storeHook = nil
-	m.trapHook = nil
-	m.trace = nil
-	m.textWritable = false
-	m.clearWatch()
+	m.dropHooks()
 	return nil
 }
 

@@ -75,27 +75,20 @@ SCALING="$(awk '
 	}
 ' "$RAW")"
 
-# Derive the disabled-chaos overhead when the disk-chaos benchmark ran.
-CHAOSOVER="$(awk '
-	$1 ~ /^BenchmarkTable4DiskChaos\/overhead(-[0-9]+)?$/ {
+# Derive the paired overhead labels when the disk-chaos or federation
+# benchmark ran: each reports its ABBA-paired ratio as "overhead-ratio".
+OVERHEAD="$(awk '
+	$1 ~ /^BenchmarkTable4DiskChaos\/overhead(-[0-9]+)?$/ { label = "disk_chaos_disabled_overhead" }
+	$1 ~ /^BenchmarkTable4Federation(-[0-9]+)?$/ { label = "federation_disabled_overhead" }
+	label != "" {
 		for (i = 2; i <= NF; i++)
-			if ($i == "overhead-ratio") v = $(i - 1)
+			if ($i == "overhead-ratio") v[label] = $(i - 1)
+		label = ""
 	}
 	END {
-		if (v > 0)
-			printf "-label disk_chaos_disabled_overhead=%.4f", v
-	}
-' "$RAW")"
-
-# Derive the federation overhead when the federation benchmark ran.
-FEDOVER="$(awk '
-	$1 ~ /^BenchmarkTable4Federation(-[0-9]+)?$/ {
-		for (i = 2; i <= NF; i++)
-			if ($i == "overhead-ratio") v = $(i - 1)
-	}
-	END {
-		if (v > 0)
-			printf "-label federation_disabled_overhead=%.4f", v
+		for (l in v)
+			if (v[l] > 0)
+				printf "-label %s=%.4f ", l, v[l]
 	}
 ' "$RAW")"
 
@@ -103,8 +96,7 @@ go run ./tools/benchjson \
 	-label "tag=$TAG" \
 	-label "commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
 	${SCALING:-} \
-	${CHAOSOVER:-} \
-	${FEDOVER:-} \
+	${OVERHEAD:-} \
 	${EXTRA_LABELS:-} \
 	<"$RAW" >"$OUT"
 
